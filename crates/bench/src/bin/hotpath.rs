@@ -71,11 +71,10 @@ fn main() {
         workers,
         cells: seq.len(),
         total_cycles: seq.iter().map(|c| c.cycles).sum(),
+        // The trajectory gates the sequential cycle loop. The fan-out
+        // pass only redistributes cells across host threads, so its wall
+        // time stays in the report body and is not gated.
         seq_wall_ns: seq_wall,
-        // The hotpath trajectory gates the sequential cycle loop; the
-        // parallel-pass trajectory lives in BENCH_parallel_sim.json.
-        parallel_wall_ns: None,
-        spec_commit_fraction: None,
         force_policy: None,
     };
 

@@ -23,10 +23,9 @@ use ptm_service::{
     ServiceCrashImage, ServiceCrashPlan, ShardChaosConfig, SubmitError,
 };
 use ptm_workloads::{
-    service::{generate, generate_bursts},
+    service::{generate, generate_bursts, ledger},
     BurstConfig, ClientTx, Scale, ServiceWorkloadConfig,
 };
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Force policies of the crash sweep, with their report labels.
@@ -146,14 +145,7 @@ pub fn oracle_check(
     }
 
     // (4) Balances are the naive wrapping fold of the recovered prefix.
-    let mut ledger: BTreeMap<u64, u32> = BTreeMap::new();
-    for tx in stream[..n].iter().filter(|t| !t.read_only) {
-        let e = ledger.entry(tx.from).or_insert(0);
-        *e = e.wrapping_sub(tx.amount);
-        let e = ledger.entry(tx.to).or_insert(0);
-        *e = e.wrapping_add(tx.amount);
-    }
-    let expected_balances: Vec<(u64, u32)> = ledger.into_iter().filter(|&(_, b)| b != 0).collect();
+    let expected_balances = ledger(&stream[..n]);
     assert_eq!(rec.balances, expected_balances, "ledger fold mismatch");
 
     // (5) Idempotence: recovering the recovered journal is a no-op.

@@ -154,12 +154,6 @@ impl Hierarchy {
         self.l2.lines_mut()
     }
 
-    /// Read-only view of the L1 array (the epoch executor's run-ahead
-    /// overlay replays L1 set behaviour from it).
-    pub fn l1(&self) -> &CacheArray {
-        &self.l1
-    }
-
     /// The L1 array (context-switch pollution needs to clear it).
     pub fn l1_mut(&mut self) -> &mut CacheArray {
         &mut self.l1

@@ -6,9 +6,9 @@
 //! (from the Zipfian generator in `ptm_workloads::service`) is batched
 //! into blocks under admission knobs (batch size, deadline), each block is
 //! compiled into per-shard thread programs, executed on N independent
-//! shard [`ptm_sim::Machine`]s — sequentially or through the speculative
-//! epoch executor — and answered with ordered receipts plus per-block
-//! stats (commits, aborts, shard skew, read-only fast-path hits).
+//! shard [`ptm_sim::Machine`]s, and answered with ordered receipts plus
+//! per-block stats (commits, aborts, shard skew, read-only fast-path
+//! hits).
 //!
 //! # Sharding and the cross-shard limitation
 //!
@@ -29,9 +29,9 @@
 //! # Determinism
 //!
 //! [`run_block`] is a pure function of `(config, block, balances)` up to
-//! wall-clock stats, and the epoch executor is bit-identical to the
-//! sequential loop, so `Sequential` and `Parallel` strategies produce
-//! identical receipts — the service bench asserts this on every cell.
+//! wall-clock stats: the same block over the same balances yields
+//! bit-identical receipts and deltas. Crash recovery leans on this to
+//! redeliver receipts by re-executing blocks.
 //!
 //! # Fault tolerance
 //!
@@ -82,7 +82,6 @@
 
 pub mod block;
 pub mod config;
-pub mod exec;
 pub mod ingest;
 pub mod journal;
 pub mod pipeline;
@@ -90,7 +89,6 @@ pub mod shard;
 
 pub use block::{fold_deltas, run_block, BlockOutcome, BlockStats, Receipt, ReceiptStatus};
 pub use config::{JournalConfig, ServiceConfig, ShardChaosConfig, Strategy};
-pub use exec::{ParallelExec, SequentialExec, TxExecutor, ValidateOnlyExec};
 pub use ingest::{Service, ServiceError, ServiceReport, SubmitError};
 pub use journal::{replay, Journal, JournalReplay, JournalStats, RecoveredBlock};
 pub use pipeline::{
@@ -114,21 +112,6 @@ mod tests {
             txs,
             read_only_pct: 20,
         })
-    }
-
-    #[test]
-    fn sequential_and_parallel_receipts_are_bit_identical() {
-        let block = stream(50_000, 300, 7);
-        for shards in [1, 2, 4] {
-            let cfg = ServiceConfig::new(50_000, shards);
-            let balances = FastMap::default();
-            let seq = run_block(&cfg.with_strategy(Strategy::Sequential), &block, &balances);
-            let par = run_block(&cfg.with_strategy(Strategy::Parallel), &block, &balances);
-            assert_eq!(seq.receipts, par.receipts, "shards={shards}");
-            assert_eq!(seq.deltas, par.deltas, "shards={shards}");
-            assert_eq!(seq.stats.commits, par.stats.commits, "shards={shards}");
-            assert_eq!(seq.stats.aborts, par.stats.aborts, "shards={shards}");
-        }
     }
 
     #[test]

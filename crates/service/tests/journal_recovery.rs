@@ -16,8 +16,8 @@ use ptm_service::{
     recover, run_stream_with_crash, CrashRun, JournalConfig, ServiceConfig, ServiceCrashImage,
     ServiceCrashPlan,
 };
-use ptm_workloads::{service::generate, ClientTx, ServiceWorkloadConfig};
-use std::collections::BTreeMap;
+use ptm_workloads::service::{generate, ledger};
+use ptm_workloads::{ClientTx, ServiceWorkloadConfig};
 
 fn sweep_cfg(policy: ForcePolicy, fault_seed: u64) -> ServiceConfig {
     let mut cfg = ServiceConfig::new(1_000, 2);
@@ -87,14 +87,7 @@ fn check_crash_point(cfg: &ServiceConfig, stream: &[ClientTx], image: &ServiceCr
     }
 
     // (4) Balances are the naive wrapping fold of the recovered transfers.
-    let mut ledger: BTreeMap<u64, u32> = BTreeMap::new();
-    for tx in stream[..n].iter().filter(|t| !t.read_only) {
-        let e = ledger.entry(tx.from).or_insert(0);
-        *e = e.wrapping_sub(tx.amount);
-        let e = ledger.entry(tx.to).or_insert(0);
-        *e = e.wrapping_add(tx.amount);
-    }
-    let expected_balances: Vec<(u64, u32)> = ledger.into_iter().filter(|&(_, b)| b != 0).collect();
+    let expected_balances = ledger(&stream[..n]);
     assert_eq!(rec.balances, expected_balances, "ledger fold mismatch");
 
     // (5) Idempotence: recovering the recovered journal is a no-op.

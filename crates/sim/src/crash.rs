@@ -25,9 +25,10 @@
 
 use crate::backend::{Backend, SystemKind};
 use crate::kernel::Kernel;
-use crate::machine::Machine;
+use crate::machine::{Machine, StepHook};
 use crate::program::ThreadProgram;
 use crate::reference::{crash_reference, Mismatch};
+use crate::scheduler::ReadyHeap;
 use crate::stats::CommittedTx;
 use ptm_core::durability::{
     decode_undo_payload, decode_word_undo_payload, undo_payload_checksum, DurStats, LogRecord,
@@ -129,6 +130,15 @@ pub struct CrashImage {
     pub undo_sums: FastMap<TxId, Vec<u64>>,
 }
 
+/// The crash-stop hook: halts the step loop before step `.0`.
+struct CrashCut(u64);
+
+impl StepHook for CrashCut {
+    fn before_step(&mut self, _: &mut Machine, step: u64, _: &mut ReadyHeap) -> Option<u64> {
+        (step < self.0).then_some(self.0)
+    }
+}
+
 impl Machine {
     /// Runs until the plan's crash step (or completion, whichever comes
     /// first) and captures the durable [`CrashImage`]. The machine itself is
@@ -140,23 +150,7 @@ impl Machine {
     /// Panics if the machine stops making progress before the crash step (a
     /// simulator bug, not a workload property).
     pub fn run_until_crash(&mut self, plan: &CrashPlan) -> CrashImage {
-        let mut guard: u64 = 0;
-        let limit = self.progress_limit();
-        let mut heap = self.build_ready_heap();
-        let mut finished = true;
-        while let Some((_, idx)) = heap.peek() {
-            if guard >= plan.step {
-                finished = false;
-                break;
-            }
-            self.step(idx);
-            self.sync_heap(&mut heap, idx);
-            guard += 1;
-            if guard >= limit {
-                self.progress_panic();
-            }
-        }
-        self.finalize_stats();
+        let (steps, finished) = self.drive(&mut CrashCut(plan.step));
 
         let transactional = self.kind.is_transactional();
         let watermarks = self
@@ -220,7 +214,7 @@ impl Machine {
 
         CrashImage {
             kind: self.kind,
-            step: guard,
+            step: steps,
             finished,
             torn,
             commit_log: self.stats.commit_log.clone(),

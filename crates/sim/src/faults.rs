@@ -19,7 +19,7 @@
 //! when the run finishes early.
 
 use crate::backend::Backend;
-use crate::machine::Machine;
+use crate::machine::{Machine, StepHook};
 use crate::scheduler::ReadyHeap;
 use ptm_cache::flush_non_tx_lines;
 use ptm_types::rng::{splitmix64, Fnv1a64};
@@ -244,27 +244,6 @@ impl FaultInjector {
         }
     }
 
-    /// Fires every event whose step is due at `step`, then re-keys the heap
-    /// for any core whose readiness the events changed.
-    pub(crate) fn apply_due(&mut self, m: &mut Machine, step: u64, heap: &mut ReadyHeap) {
-        if self.cursor >= self.events.len() || self.events[self.cursor].step > step {
-            return;
-        }
-        while self.cursor < self.events.len() && self.events[self.cursor].step <= step {
-            let ev = self.events[self.cursor];
-            self.cursor += 1;
-            self.apply(m, ev.action);
-            self.fired += 1;
-        }
-        // Events mutate ready times, finish/abort threads, and migrate
-        // programs across cores: re-key every core rather than tracking the
-        // blast radius of each action.
-        m.ready_dirty.clear();
-        for i in 0..m.cores.len() {
-            m.sync_heap_core(heap, i);
-        }
-    }
-
     fn apply(&mut self, m: &mut Machine, action: FaultAction) {
         match action {
             FaultAction::ForceContextSwitch { core } => {
@@ -416,7 +395,6 @@ impl FaultInjector {
         if m.kernel.frame_of(pid, vpn) != Some(frame) {
             return;
         }
-        m.exec_log.poison_all();
         m.force_swap_out(pid, vpn);
     }
 
@@ -435,37 +413,39 @@ impl FaultInjector {
     }
 }
 
-impl Machine {
-    /// [`Machine::run`] with a [`FaultPlan`] interleaved. With an empty
-    /// plan this is bit-identical to `run` (same step loop, same stats,
-    /// same checksums); with a non-empty plan, events fire before the step
-    /// whose index they carry.
-    pub fn run_with_faults(&mut self, plan: &FaultPlan) {
-        let mut injector = FaultInjector::new(plan);
-        let mut guard: u64 = 0;
-        let limit = self.progress_limit();
-        let trace_progress = std::env::var("PTM_TRACE_PROGRESS").is_ok();
-        let mut heap = self.build_ready_heap();
-        loop {
-            injector.apply_due(self, guard, &mut heap);
-            let Some((_, idx)) = heap.peek() else { break };
-            self.step(idx);
-            self.sync_heap(&mut heap, idx);
-            guard += 1;
-            if trace_progress && guard.is_multiple_of(20_000_000) {
-                let pcs: Vec<_> = self
-                    .cores
-                    .iter()
-                    .map(|c| (c.prog.thread().0, c.prog.pc(), c.ready_at))
-                    .collect();
-                eprintln!("[progress] steps={guard} {pcs:?}");
-            }
-            if guard >= limit {
-                self.progress_panic();
+impl StepHook for FaultInjector {
+    /// Fires every event due at `step`, then re-keys the heap for any core
+    /// whose readiness the events changed. Due again at the next event.
+    fn before_step(&mut self, m: &mut Machine, step: u64, heap: &mut ReadyHeap) -> Option<u64> {
+        let first = self.cursor;
+        while let Some(ev) = self.events.get(self.cursor).filter(|ev| ev.step <= step) {
+            let action = ev.action;
+            self.cursor += 1;
+            self.apply(m, action);
+            self.fired += 1;
+        }
+        if self.cursor > first {
+            // Events mutate ready times, finish/abort threads, and migrate
+            // programs across cores: re-key every core rather than tracking
+            // the blast radius of each action.
+            m.ready_dirty.clear();
+            for i in 0..m.cores.len() {
+                m.sync_heap_core(heap, i);
             }
         }
+        Some(self.events.get(self.cursor).map_or(u64::MAX, |ev| ev.step))
+    }
+}
+
+impl Machine {
+    /// [`Machine::run`] with a [`FaultPlan`] interleaved. Both drive the
+    /// same step loop, so an empty plan is bit-identical to `run` (same
+    /// stats, same checksums); with a non-empty plan, events fire before
+    /// the step whose index they carry.
+    pub fn run_with_faults(&mut self, plan: &FaultPlan) {
+        let mut injector = FaultInjector::new(plan);
+        self.drive(&mut injector);
         injector.teardown(self);
-        self.finalize_stats();
     }
 }
 

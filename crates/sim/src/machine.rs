@@ -11,7 +11,6 @@
 //! discard data — which the serial reference executor verifies.
 
 use crate::backend::{Backend, SystemKind};
-use crate::executor::ExecLog;
 use crate::kernel::{Kernel, KernelConfig, Translation};
 use crate::locks::LockAttempt;
 use crate::ops::{Op, OrderedSeq};
@@ -134,16 +133,6 @@ struct TlbEntry {
     frame: FrameId,
 }
 
-// The epoch executor's speculation workers share a frozen `&Machine` across
-// host threads and exchange per-core state between them; both bounds are
-// load-bearing and must never regress silently.
-fn _assert_thread_safety() {
-    fn is_sync<T: Sync>() {}
-    fn is_send<T: Send>() {}
-    is_sync::<Machine>();
-    is_send::<CoreState>();
-}
-
 /// What an access attempt resolved to.
 pub(crate) enum AccessEffect {
     /// Completed; the op's latency in cycles.
@@ -153,6 +142,24 @@ pub(crate) enum AccessEffect {
     /// The requester's own transaction lost arbitration and was aborted;
     /// its program has been rewound.
     SelfAborted,
+}
+
+/// Work a run interleaves with the step loop (see [`Machine::drive`]).
+pub(crate) trait StepHook {
+    /// Runs before step `step`, the index it last returned (step 0 on the
+    /// first call), even when no core is left to step. Returns the next
+    /// index it must run before, or `None` to stop the run before `step`.
+    fn before_step(&mut self, m: &mut Machine, step: u64, heap: &mut ReadyHeap) -> Option<u64>;
+}
+
+/// The hook of a plain [`Machine::run`]: never due again.
+struct NoHook;
+
+impl StepHook for NoHook {
+    #[inline]
+    fn before_step(&mut self, _: &mut Machine, _: u64, _: &mut ReadyHeap) -> Option<u64> {
+        Some(u64::MAX)
+    }
 }
 
 /// The simulated CMP.
@@ -187,9 +194,6 @@ pub struct Machine {
     /// a *different* core (abort penalties, thread migration). The run
     /// loops drain this to re-key the ready heap.
     pub(crate) ready_dirty: Vec<usize>,
-    /// Epoch-executor validation log (inert while [`ExecLog::active`] is
-    /// false, i.e. during plain sequential runs).
-    pub(crate) exec_log: ExecLog,
 }
 
 /// Arrival/release bookkeeping for one in-flight barrier. Arrivals are
@@ -251,7 +255,6 @@ impl Machine {
             stats: MachineStats::default(),
             swap_in_delay: 0,
             ready_dirty: Vec::new(),
-            exec_log: ExecLog::inactive(),
             cfg,
             kind,
         }
@@ -320,13 +323,38 @@ impl Machine {
     /// Panics if the machine stops making progress (a simulator bug, not a
     /// workload property — oldest-wins arbitration guarantees progress).
     pub fn run(&mut self) {
+        self.drive(&mut NoHook);
+    }
+
+    /// The one step loop behind [`Machine::run`],
+    /// [`Machine::run_with_faults`] and [`Machine::run_until_crash`].
+    ///
+    /// Cores step in canonical order: smallest `(ready_at, core)` first.
+    /// `hook` runs before the step whose index it last asked for, and
+    /// returns the next index it needs (or `None` to stop before this
+    /// step). Returns the steps taken and whether the run drained (no core
+    /// left to step), and finalizes statistics either way.
+    pub(crate) fn drive<H: StepHook>(&mut self, hook: &mut H) -> (u64, bool) {
         let mut guard: u64 = 0;
+        let mut due: u64 = 0;
         let limit = self.progress_limit();
         // Read the tracing knob once: `std::env::var` is a syscall and this
         // is the hottest loop in the simulator.
         let trace_progress = std::env::var("PTM_TRACE_PROGRESS").is_ok();
         let mut heap = self.build_ready_heap();
-        while let Some((_, idx)) = heap.peek() {
+        let drained = loop {
+            if guard >= due {
+                match hook.before_step(self, guard, &mut heap) {
+                    Some(next) => due = next,
+                    None => break heap.is_empty(),
+                }
+            }
+            let Some((_, idx)) = heap.peek() else {
+                break true;
+            };
+            // A streak ends at the hook's next step or the progress limit,
+            // whichever comes first.
+            let stop = due.min(limit);
             // Run-ahead dispatch: keep stepping this core while its key stays
             // strictly below the heap's runner-up, no cross-core effect needs
             // re-keying, and the program has more work. Every iteration steps
@@ -344,10 +372,10 @@ impl Machine {
                         .collect();
                     eprintln!("[progress] steps={guard} {pcs:?}");
                 }
-                if guard >= limit {
-                    self.progress_panic();
-                }
-                if !self.ready_dirty.is_empty() || self.cores[idx].prog.is_finished() {
+                if guard >= stop
+                    || !self.ready_dirty.is_empty()
+                    || self.cores[idx].prog.is_finished()
+                {
                     break;
                 }
                 match heap.runner_up() {
@@ -358,18 +386,22 @@ impl Machine {
                 }
             }
             self.sync_heap(&mut heap, idx);
-        }
+            if guard >= limit {
+                self.progress_panic();
+            }
+        };
         self.finalize_stats();
+        (guard, drained)
     }
 
     /// The step budget after which a run is declared stuck.
-    pub(crate) fn progress_limit(&self) -> u64 {
+    fn progress_limit(&self) -> u64 {
         200_000_000u64
             .saturating_add(self.cores.iter().map(|c| c.prog.len() as u64).sum::<u64>() * 10_000)
     }
 
     /// Panics with the full per-core + live-transaction state dump.
-    pub(crate) fn progress_panic(&self) -> ! {
+    fn progress_panic(&self) -> ! {
         let state: Vec<String> = self
             .cores
             .iter()
@@ -396,7 +428,7 @@ impl Machine {
     }
 
     /// A [`ReadyHeap`] seeded with every unfinished core.
-    pub(crate) fn build_ready_heap(&self) -> ReadyHeap {
+    fn build_ready_heap(&self) -> ReadyHeap {
         let mut heap = ReadyHeap::new(self.cores.len());
         for (i, c) in self.cores.iter().enumerate() {
             if !c.prog.is_finished() {
@@ -408,7 +440,7 @@ impl Machine {
 
     /// Re-keys `idx` plus any cores a cross-core effect (abort penalty,
     /// migration swap) touched during the last step.
-    pub(crate) fn sync_heap(&mut self, heap: &mut ReadyHeap, idx: usize) {
+    fn sync_heap(&mut self, heap: &mut ReadyHeap, idx: usize) {
         self.sync_heap_core(heap, idx);
         while let Some(d) = self.ready_dirty.pop() {
             self.sync_heap_core(heap, d);
@@ -423,7 +455,7 @@ impl Machine {
         }
     }
 
-    pub(crate) fn finalize_stats(&mut self) {
+    fn finalize_stats(&mut self) {
         self.stats.cycles = self.cores.iter().map(|c| c.ready_at).max().unwrap_or(0);
         let mut misses = 0;
         let mut evictions = 0;
@@ -439,7 +471,7 @@ impl Machine {
     // The core step function
     // ------------------------------------------------------------------
 
-    pub(crate) fn step(&mut self, idx: usize) {
+    fn step(&mut self, idx: usize) {
         let now = self.cores[idx].ready_at;
 
         // System-event injection (context switches, exceptions).
@@ -542,10 +574,7 @@ impl Machine {
         if self.cores[other].ready_at > now {
             return;
         }
-        // A migration reorders which core runs which thread — nothing
-        // speculated before it can survive, and the partner core's key in
-        // the ready heap changes.
-        self.exec_log.poison_all();
+        // The partner core's key in the ready heap changes.
         self.ready_dirty.push(other);
         if trace_word().is_some() {
             eprintln!("[ptm-trace] migrate core {idx} <-> core {other} now={now}");
@@ -710,24 +739,6 @@ impl Machine {
 
     fn commit(&mut self, idx: usize, now: Cycle) {
         let tx = self.cores[idx].prog.cur_tx().expect("commit inside tx");
-        // A non-overflowed commit under block granularity only drains this
-        // transaction's buffers and clears its tags: its effects are
-        // word-precise, so publish them to the multi-version map instead of
-        // poisoning every run. Overflowed commits toggle selection vectors /
-        // copy back overflow structures (whole frames change meaning), and
-        // word-granularity modes carry precomputed mirror pointers into
-        // co-writers' speculative pages that the cleanup below frees — both
-        // invalidate speculated state wholesale.
-        let overflowed = match &self.backend {
-            Backend::Ptm(p) => p.tx_has_overflow(tx),
-            Backend::Vtm(v) => v.tx_has_overflow(tx),
-            _ => false,
-        };
-        let precise =
-            self.exec_log.active && !self.kind.granularity().word_in_cache() && !overflowed;
-        if !precise {
-            self.exec_log.poison_all();
-        }
         if trace_word().is_some() {
             eprintln!("[ptm-trace] commit {tx} now={now}");
         }
@@ -778,14 +789,6 @@ impl Machine {
                 Backend::Ptm(p) => (p.committed_frame(block), p.mirror_location(block, Some(tx))),
                 _ => (block.frame(), None),
             };
-            if precise {
-                // The drained words become globally visible right here:
-                // publish each so concurrent speculated readers of stale
-                // values fail validation word-by-word.
-                for w in specb.written.iter() {
-                    self.exec_log.note_write(block, w, idx, specb.read_word(w));
-                }
-            }
             let tgt = block.on_frame(frame);
             let mut data = self.mem.read_block(tgt);
             ptm_mem::versions::apply_written_words(&mut data, &specb);
@@ -876,14 +879,6 @@ impl Machine {
                     let wal_latency = self.write_word_functional(tx, pid, va, pa, value, now);
                     if let (Some(d), Some(tx)) = (self.durable.as_mut(), tx) {
                         d.note_tx_write(tx);
-                    }
-                    // Publish globally visible writes to the multi-version
-                    // map: non-transactional stores and LogTM's eager
-                    // in-place updates. Lazily buffered transactional
-                    // writes stay invisible until their commit drains them.
-                    if tx.is_none() || matches!(self.backend, Backend::LogTm(_)) {
-                        self.exec_log
-                            .note_write(pa.block(), pa.word_in_block(), idx, value);
                     }
                     self.note_page_touch(idx, pid, va.vpn(), tx.is_some());
                     self.stats.mem_ops += 1;
@@ -1021,8 +1016,6 @@ impl Machine {
     /// mapping. Called automatically on swap-out; tests that remap pages
     /// directly through [`Machine::kernel_mut`] must call it themselves.
     pub fn tlb_shootdown(&mut self, pid: ProcessId, vpn: Vpn) {
-        // A mapping is dying: speculated translations may be stale.
-        self.exec_log.poison_all();
         for core in &mut self.cores {
             if core.tlb.is_empty() {
                 continue;
@@ -1072,9 +1065,6 @@ impl Machine {
                     // Swap the page (and, under PTM, its shadow) back in,
                     // then retry the access after the fault latency. The
                     // retry's translation installs the new TLB entry.
-                    // Swap-in rewrites page tables and moves page data:
-                    // everything speculated from the old state is stale.
-                    self.exec_log.poison_all();
                     let frame = match &mut self.backend {
                         Backend::Ptm(_) => match self.ptm_swap_in_with_recovery(idx, slot, now) {
                             Ok(f) => {
@@ -1107,7 +1097,6 @@ impl Machine {
                     // aborting the youngest live transaction (its shadow
                     // pages and buffers come back to the pool), then let the
                     // retry take the minor fault again.
-                    self.exec_log.poison_all();
                     let requester = self.tx_context(idx);
                     if let Some(victim) = self.youngest_live_tx(requester) {
                         self.abort_tx(victim, now);
@@ -1416,17 +1405,6 @@ impl Machine {
         //    lines with word-disjoint writes are *preserved* (sub-block
         //    ownership); the hit path compensates by conflict-checking any
         //    hit on a word the line's own masks do not cover.
-        //
-        //    A supply can invalidate, downgrade or displace the block in any
-        //    other cache — if a core with a pending speculative run holds
-        //    it, that run was computed against state this step changes.
-        if self.exec_log.active {
-            for c in 0..self.caches.len() {
-                if c != idx && self.exec_log.is_pending(c) && self.caches[c].line(block).is_some() {
-                    self.exec_log.poison_core(c);
-                }
-            }
-        }
         let mut outcome = supply(
             &mut self.caches,
             idx,
@@ -1552,32 +1530,6 @@ impl Machine {
             eprintln!("[ptm-trace] abort {tx} now={now}");
         }
         let owner = *self.tx_owner.get(&tx).expect("abort of unknown tx");
-        // A non-overflowed abort under block granularity only touches the
-        // owner: tags swept, lazy buffers discarded (never visible), and —
-        // LogTM only — logged words rolled back in place. The owner's run is
-        // dead either way, but other cores' runs survive: mark each rolled
-        // back word as an ESTIMATE so speculated reads of the undone values
-        // fail validation precisely. Everything else (overflow structures,
-        // word-granularity mirror pointers) invalidates wholesale.
-        let overflowed = match &self.backend {
-            Backend::Ptm(p) => p.tx_has_overflow(tx),
-            Backend::Vtm(v) => v.tx_has_overflow(tx),
-            _ => false,
-        };
-        let precise =
-            self.exec_log.active && !self.kind.granularity().word_in_cache() && !overflowed;
-        if precise {
-            self.exec_log.poison_core(owner);
-            if let Backend::LogTm(l) = &self.backend {
-                // Capture before `abort` consumes the log below.
-                for pa in l.log_addrs(tx) {
-                    self.exec_log
-                        .note_estimate(pa.block(), pa.word_in_block(), owner);
-                }
-            }
-        } else {
-            self.exec_log.poison_all();
-        }
         self.ready_dirty.push(owner);
         // Migration can spread a transaction's lines across cores: sweep
         // every cache.
@@ -1631,10 +1583,6 @@ impl Machine {
                 // cleared only on its own core); drop it.
                 return false;
             }
-            // A live transactional eviction creates or mutates overflow
-            // structures (and may abort a bystander): the frozen backend
-            // lookups speculation depends on are about to change.
-            self.exec_log.poison_all();
             // wd:cache (§6.3): coherence tracks words, but the overflowed
             // structures track one writer per block — evicting a dirty
             // block that a different live transaction already
@@ -1810,11 +1758,7 @@ impl Machine {
             // Non-transactional dirty writeback.
             let _ = self.bus.mem_access(now);
             if let Backend::Ptm(p) = &mut self.backend {
-                if p.on_nontx_dirty_writeback(line.block(), &mut self.mem) {
-                    // Lazy shadow migration moved page data and flipped the
-                    // select bit: committed-frame lookups are stale.
-                    self.exec_log.poison_all();
-                }
+                p.on_nontx_dirty_writeback(line.block(), &mut self.mem);
             }
         }
         false
@@ -1973,10 +1917,8 @@ impl Machine {
         }
     }
 
-    /// The committed (non-transactional) view of a whole block — what a
-    /// freshly begun transaction with no buffered history observes. Seeds
-    /// speculative buffers for transactions the epoch executor itself
-    /// begins, whose `TxId` does not exist yet at speculation time.
+    /// The committed (non-transactional) view of a whole block: the undo
+    /// pre-image a durable overflow logs.
     pub(crate) fn committed_block_snapshot(&self, block: PhysBlock) -> [u8; BLOCK_SIZE] {
         match &self.backend {
             Backend::Ptm(p) => self

@@ -3,8 +3,8 @@
 
 use ptm_cache::CacheConfig;
 use ptm_sim::{
-    assert_serializable, run, serialize_programs, Machine, MachineConfig, Op, OrderedSeq,
-    SystemKind, ThreadProgram,
+    assert_serializable, check_invariants, run, serialize_programs, CrashPlan, FaultAction,
+    FaultEvent, FaultPlan, Machine, MachineConfig, Op, OrderedSeq, SystemKind, ThreadProgram,
 };
 use ptm_types::{Granularity, ProcessId, ThreadId, VirtAddr};
 
@@ -657,4 +657,97 @@ fn barriers_are_migration_safe() {
         );
     }
     assert_serializable(&m, &programs);
+}
+
+/// Core 0 runs one long run-ahead streak (many short, private
+/// transactions) while core 1 sits in a long compute; then both touch a
+/// shared counter. Tiny caches make core 0's transactions overflow.
+fn streak_programs() -> Vec<ThreadProgram> {
+    let shared = VirtAddr::new(0x10_0000);
+    let mut long = Vec::new();
+    for i in 0..24u64 {
+        long.push(begin(lock0()));
+        long.push(Op::Rmw(VirtAddr::new(0x40_0000 + i * 64), 1));
+        long.push(Op::Rmw(VirtAddr::new(0x48_0000 + i * 4096), 2));
+        long.push(Op::End);
+        long.push(Op::Compute(3));
+    }
+    long.extend([begin(lock0()), Op::Rmw(shared, 1), Op::End]);
+    let short = vec![
+        Op::Compute(4_000),
+        begin(lock0()),
+        Op::Rmw(shared, 1),
+        Op::End,
+    ];
+    vec![
+        ThreadProgram::new(ProcessId(0), ThreadId(0), long),
+        ThreadProgram::new(ProcessId(0), ThreadId(1), short),
+    ]
+}
+
+fn streak_machine() -> Machine {
+    Machine::new(
+        tiny_cache_config(),
+        SystemKind::SelectPtm(Granularity::Block),
+        streak_programs(),
+    )
+}
+
+fn outcome(m: &Machine) -> (Vec<u64>, String) {
+    (m.checksums(), format!("{}", m.stats()))
+}
+
+#[test]
+fn crash_cuts_inside_a_run_ahead_streak_land_on_their_step() {
+    let programs = streak_programs();
+    let total = streak_machine()
+        .run_until_crash(&CrashPlan::at_step(u64::MAX))
+        .step;
+    assert!(
+        total > 100,
+        "the cell must be long enough to streak: {total}"
+    );
+    let mut plain = streak_machine();
+    plain.run();
+    let plain = outcome(&plain);
+    for k in 0..=total + 1 {
+        let mut m = streak_machine();
+        let mut img = m.run_until_crash(&CrashPlan::at_step(k));
+        assert_eq!(img.step, k.min(total), "crash at step {k}");
+        assert_eq!(img.finished, k >= total, "crash at step {k}");
+        img.recover();
+        img.assert_matches_reference(&programs);
+        // The cut leaves the live machine as it was: resuming it must
+        // rejoin the uncut schedule exactly.
+        m.run();
+        assert_eq!(outcome(&m), plain, "resumed after a cut at step {k}");
+    }
+}
+
+#[test]
+fn fault_events_inside_a_run_ahead_streak_fire_on_their_step() {
+    let programs = streak_programs();
+    let actions = [
+        FaultAction::ForceContextSwitch { core: 0 },
+        FaultAction::AbortStorm { count: 1 },
+        FaultAction::SwapOutHotPage { nth: 0 },
+        FaultAction::ForceMigration { core: 0 },
+    ];
+    for action in actions {
+        for k in [1, 2, 7, 30, 61, 90] {
+            let plan = |step| FaultPlan {
+                events: vec![FaultEvent { step, action }],
+            };
+            let mut m = streak_machine();
+            m.run_with_faults(&plan(k));
+            check_invariants(&m).unwrap_or_else(|e| panic!("{action:?} at {k}: {e}"));
+            assert_serializable(&m, &programs);
+            // The same event fired by hand at step k — a cut at k, then
+            // the event at step 0 of the resumed run — must agree.
+            let mut split = streak_machine();
+            assert_eq!(split.run_until_crash(&CrashPlan::at_step(k)).step, k);
+            split.run_with_faults(&plan(0));
+            assert_eq!(outcome(&m), outcome(&split), "{action:?} at step {k}");
+        }
+    }
 }

@@ -9,6 +9,7 @@
 use crate::common::Scale;
 use crate::zipf::ZipfAccounts;
 use ptm_types::rng::SplitMix64;
+use std::collections::BTreeMap;
 
 /// One client request as it arrives at the service frontend.
 ///
@@ -104,6 +105,21 @@ pub fn generate(cfg: &ServiceWorkloadConfig) -> Vec<ClientTx> {
         });
     }
     out
+}
+
+/// The ledger `txs` leave behind, folded naively: every transfer debits
+/// `from` and credits `to` by `amount` in wrapping 32-bit arithmetic,
+/// read-only probes change nothing. Returns the non-zero balances sorted
+/// by account — the oracle the service's final balances must equal.
+pub fn ledger<'a>(txs: impl IntoIterator<Item = &'a ClientTx>) -> Vec<(u64, u32)> {
+    let mut ledger: BTreeMap<u64, u32> = BTreeMap::new();
+    for tx in txs.into_iter().filter(|t| !t.read_only) {
+        let e = ledger.entry(tx.from).or_insert(0);
+        *e = e.wrapping_sub(tx.amount);
+        let e = ledger.entry(tx.to).or_insert(0);
+        *e = e.wrapping_add(tx.amount);
+    }
+    ledger.into_iter().filter(|&(_, b)| b != 0).collect()
 }
 
 /// Burst shaping for [`generate_bursts`]: the overload generator the
