@@ -37,6 +37,9 @@ pub struct CacheArray {
 impl CacheArray {
     /// Creates an empty array.
     ///
+    /// Sets start unallocated and reserve their `ways` on first fill: a
+    /// short-lived machine that touches a few sets pays for those alone.
+    ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see [`CacheConfig::validate`]).
@@ -44,9 +47,7 @@ impl CacheArray {
         cfg.validate();
         CacheArray {
             cfg,
-            sets: (0..cfg.sets)
-                .map(|_| Vec::with_capacity(cfg.ways))
-                .collect(),
+            sets: (0..cfg.sets).map(|_| Vec::new()).collect(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -88,6 +89,15 @@ impl CacheArray {
         Some(line)
     }
 
+    /// Mutable lookup that leaves the LRU order alone (bookkeeping such as
+    /// commit and abort is not an access).
+    pub fn find_mut(&mut self, block: PhysBlock) -> Option<&mut CacheLine> {
+        let idx = self.set_index(block);
+        self.sets[idx]
+            .iter_mut()
+            .find(|l| l.block() == block && l.state() != Moesi::Invalid)
+    }
+
     /// Inserts a line, returning the LRU victim if the set was full.
     ///
     /// Re-inserting a block that is already present replaces its line in
@@ -107,6 +117,9 @@ impl CacheArray {
         }
 
         if set.len() < self.cfg.ways {
+            if set.capacity() == 0 {
+                set.reserve_exact(self.cfg.ways);
+            }
             set.push(line);
             return None;
         }
@@ -142,14 +155,6 @@ impl CacheArray {
     pub fn lines(&self) -> impl Iterator<Item = &CacheLine> {
         self.sets
             .iter()
-            .flatten()
-            .filter(|l| l.state() != Moesi::Invalid)
-    }
-
-    /// Mutable iteration over all valid lines.
-    pub fn lines_mut(&mut self) -> impl Iterator<Item = &mut CacheLine> {
-        self.sets
-            .iter_mut()
             .flatten()
             .filter(|l| l.state() != Moesi::Invalid)
     }
@@ -223,6 +228,28 @@ mod tests {
         assert_eq!(ev.line.block(), blk(1));
         assert!(c.contains(blk(0)));
         assert!(c.contains(blk(2)));
+    }
+
+    #[test]
+    fn find_mut_leaves_the_lru_victim_alone() {
+        let mut c = CacheArray::new(CacheConfig::tiny(1, 2));
+        c.insert(CacheLine::new(blk(0), Moesi::Shared));
+        c.insert(CacheLine::new(blk(1), Moesi::Shared));
+        // Block 0 is LRU; a non-LRU lookup of it must not make block 1 so.
+        c.find_mut(blk(0)).unwrap().tx_meta_for(TxId(1));
+        assert!(c.find_mut(blk(5)).is_none());
+        let ev = c.insert(CacheLine::new(blk(2), Moesi::Shared)).unwrap();
+        assert_eq!(ev.line.block(), blk(0));
+        assert!(ev.line.is_owned_by(TxId(1)), "find_mut edits in place");
+    }
+
+    #[test]
+    fn sets_allocate_on_first_fill() {
+        let mut c = CacheArray::new(CacheConfig::tiny(4, 2));
+        assert!(c.sets.iter().all(|s| s.capacity() == 0));
+        c.insert(CacheLine::new(blk(1), Moesi::Shared));
+        let caps: Vec<usize> = c.sets.iter().map(Vec::capacity).collect();
+        assert_eq!(caps, [0, 2, 0, 0]);
     }
 
     #[test]

@@ -160,41 +160,39 @@ pub fn supply(
     }
 }
 
-/// Clears transactional metadata on every line owned by `tx` after a commit
-/// (§4.5): "all of the cache blocks with the transaction ID are specified as
-/// no longer being speculative, and the transaction ID is cleared." Returns
-/// the number of lines processed.
-pub fn commit_tx_lines(h: &mut Hierarchy, tx: TxId) -> u64 {
-    let mut n = 0;
-    for line in h.lines_mut() {
-        if line.is_owned_by(tx) {
+/// Commits one line `tx` tagged (§4.5): "all of the cache blocks with the
+/// transaction ID are specified as no longer being speculative, and the
+/// transaction ID is cleared." The caller names the lines from its own
+/// record of what `tx` tagged, so a commit costs what the transaction
+/// touched rather than a walk of the cache. Returns `false`, changing
+/// nothing, if the line has since left the cache or belongs to another
+/// transaction.
+pub fn commit_tx_line(h: &mut Hierarchy, tx: TxId, block: PhysBlock) -> bool {
+    match h.line_mut(block) {
+        Some(line) if line.is_owned_by(tx) => {
             line.clear_tx();
-            n += 1;
+            true
         }
+        _ => false,
     }
-    n
 }
 
-/// Processes an abort in the cache (§4.5): dirty lines owned by `tx` are
-/// invalidated (their speculative data is discarded); clean lines just drop
-/// the transaction tag. Returns `(dirty_invalidated, clean_cleared)`.
-pub fn abort_tx_lines(h: &mut Hierarchy, tx: TxId) -> (u64, u64) {
-    let dirty: Vec<PhysBlock> = h
-        .lines()
-        .filter(|l| l.is_owned_by(tx) && l.state().is_dirty())
-        .map(|l| l.block())
-        .collect();
-    for b in &dirty {
-        h.invalidate(*b);
-    }
-    let mut clean = 0;
-    for line in h.lines_mut() {
-        if line.is_owned_by(tx) {
-            line.clear_tx();
-            clean += 1;
+/// Aborts one line `tx` tagged (§4.5): a dirty line is invalidated (its
+/// speculative data is discarded); a clean one just drops the transaction
+/// tag. Returns `false`, changing nothing, if the line is no longer
+/// `tx`'s.
+pub fn abort_tx_line(h: &mut Hierarchy, tx: TxId, block: PhysBlock) -> bool {
+    match h.line_mut(block) {
+        Some(line) if line.is_owned_by(tx) => {
+            if !line.state().is_dirty() {
+                line.clear_tx();
+                return true;
+            }
         }
+        _ => return false,
     }
-    (dirty.len() as u64, clean)
+    h.invalidate(block);
+    true
 }
 
 /// Invalidates every non-transactional line (context-switch cache pollution
@@ -312,11 +310,13 @@ mod tests {
         line.tx_meta_for(TxId(1)).record_write(WordIdx(0));
         h.fill(line);
         h.fill(CacheLine::new(blk(1), Moesi::Shared));
-        let n = commit_tx_lines(&mut h, TxId(1));
-        assert_eq!(n, 1);
+        assert!(commit_tx_line(&mut h, TxId(1), blk(0)));
+        assert!(!commit_tx_line(&mut h, TxId(1), blk(1)), "untagged line");
+        assert!(!commit_tx_line(&mut h, TxId(1), blk(2)), "absent line");
         let l = h.line(blk(0)).unwrap();
         assert!(!l.is_transactional());
         assert_eq!(l.state(), Moesi::Modified, "committed dirty data stays");
+        assert!(h.line(blk(1)).is_some());
     }
 
     #[test]
@@ -328,9 +328,10 @@ mod tests {
         let mut clean = CacheLine::new(blk(1), Moesi::Shared);
         clean.tx_meta_for(TxId(1)).record_read(WordIdx(0));
         h.fill(clean);
-        let (d, c) = abort_tx_lines(&mut h, TxId(1));
-        assert_eq!((d, c), (1, 1));
-        assert!(h.line(blk(0)).is_none(), "speculative data discarded");
+        assert!(abort_tx_line(&mut h, TxId(1), blk(0)));
+        assert!(abort_tx_line(&mut h, TxId(1), blk(1)));
+        assert!(!abort_tx_line(&mut h, TxId(1), blk(0)), "already gone");
+        assert!(h.probe(blk(0)).is_miss(), "speculative data discarded");
         let l = h.line(blk(1)).unwrap();
         assert!(!l.is_transactional(), "clean line survives untagged");
     }
@@ -341,7 +342,8 @@ mod tests {
         let mut other = CacheLine::new(blk(2), Moesi::Modified);
         other.tx_meta_for(TxId(9)).record_write(WordIdx(0));
         h.fill(other);
-        abort_tx_lines(&mut h, TxId(1));
+        assert!(!abort_tx_line(&mut h, TxId(1), blk(2)));
+        assert!(!commit_tx_line(&mut h, TxId(1), blk(2)));
         assert!(h.line(blk(2)).unwrap().is_owned_by(TxId(9)));
     }
 

@@ -37,7 +37,7 @@ pub mod stats;
 pub use array::{CacheArray, Eviction};
 pub use bus::{BusTimings, SystemBus};
 pub use coherence::{
-    abort_tx_lines, commit_tx_lines, flush_non_tx_lines, peek_remote_tx_use, supply, DataSource,
+    abort_tx_line, commit_tx_line, flush_non_tx_lines, peek_remote_tx_use, supply, DataSource,
     RemoteTxUse, SupplyOutcome,
 };
 pub use config::CacheConfig;
@@ -149,9 +149,10 @@ impl Hierarchy {
         self.l2.lines()
     }
 
-    /// Mutable iteration over all valid L2 lines.
-    pub fn lines_mut(&mut self) -> impl Iterator<Item = &mut CacheLine> {
-        self.l2.lines_mut()
+    /// Mutable view of the L2 line for `block` that neither promotes into
+    /// L1 nor refreshes LRU.
+    pub fn line_mut(&mut self, block: ptm_types::PhysBlock) -> Option<&mut CacheLine> {
+        self.l2.find_mut(block)
     }
 
     /// The L1 array (context-switch pollution needs to clear it).

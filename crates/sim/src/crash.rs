@@ -25,10 +25,9 @@
 
 use crate::backend::{Backend, SystemKind};
 use crate::kernel::Kernel;
-use crate::machine::{Machine, StepHook};
+use crate::machine::{Machine, StopBefore};
 use crate::program::ThreadProgram;
 use crate::reference::{crash_reference, Mismatch};
-use crate::scheduler::ReadyHeap;
 use crate::stats::CommittedTx;
 use ptm_core::durability::{
     decode_undo_payload, decode_word_undo_payload, undo_payload_checksum, DurStats, LogRecord,
@@ -130,15 +129,6 @@ pub struct CrashImage {
     pub undo_sums: FastMap<TxId, Vec<u64>>,
 }
 
-/// The crash-stop hook: halts the step loop before step `.0`.
-struct CrashCut(u64);
-
-impl StepHook for CrashCut {
-    fn before_step(&mut self, _: &mut Machine, step: u64, _: &mut ReadyHeap) -> Option<u64> {
-        (step < self.0).then_some(self.0)
-    }
-}
-
 impl Machine {
     /// Runs until the plan's crash step (or completion, whichever comes
     /// first) and captures the durable [`CrashImage`]. The machine itself is
@@ -150,7 +140,7 @@ impl Machine {
     /// Panics if the machine stops making progress before the crash step (a
     /// simulator bug, not a workload property).
     pub fn run_until_crash(&mut self, plan: &CrashPlan) -> CrashImage {
-        let (steps, finished) = self.drive(&mut CrashCut(plan.step));
+        let (steps, finished) = self.drive(&mut StopBefore(plan.step));
 
         let transactional = self.kind.is_transactional();
         let watermarks = self

@@ -504,6 +504,19 @@ pub fn check_invariants(m: &Machine) -> Result<(), String> {
             ));
         }
     }
+    // Every transaction has committed or aborted, so no line may still be
+    // speculative and no tagged-line entry may still wait for its release.
+    for (core, (h, tagged)) in m.caches.iter().zip(&m.tagged).enumerate() {
+        if let Some(line) = h.lines().find(|l| l.is_transactional()) {
+            return Err(format!("core {core} still caches tagged line {line}"));
+        }
+        if !tagged.is_empty() {
+            return Err(format!(
+                "core {core} still lists {} tagged lines",
+                tagged.len()
+            ));
+        }
+    }
     Ok(())
 }
 

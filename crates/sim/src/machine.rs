@@ -19,7 +19,7 @@ use crate::program::ThreadProgram;
 use crate::scheduler::ReadyHeap;
 use crate::stats::{CommittedTx, MachineStats};
 use ptm_cache::{
-    abort_tx_lines, commit_tx_lines, flush_non_tx_lines, peek_remote_tx_use, supply, BusTimings,
+    abort_tx_line, commit_tx_line, flush_non_tx_lines, peek_remote_tx_use, supply, BusTimings,
     CacheConfig, CacheLine, DataSource, Hierarchy, ProbeResult, SystemBus,
 };
 use ptm_core::durability::{DurStats, DurabilityConfig, DurableLog, UndoPayload};
@@ -162,6 +162,17 @@ impl StepHook for NoHook {
     }
 }
 
+/// Stops the step loop before step `.0` of the run it drives: a pause
+/// for [`Machine::run_steps`], a power cut for
+/// [`Machine::run_until_crash`].
+pub(crate) struct StopBefore(pub(crate) u64);
+
+impl StepHook for StopBefore {
+    fn before_step(&mut self, _: &mut Machine, step: u64, _: &mut ReadyHeap) -> Option<u64> {
+        (step < self.0).then_some(self.0)
+    }
+}
+
 /// The simulated CMP.
 ///
 /// Build one with [`Machine::new`], run it to completion with
@@ -172,6 +183,12 @@ pub struct Machine {
     pub(crate) kind: SystemKind,
     pub(crate) cores: Vec<CoreState>,
     pub(crate) caches: Vec<Hierarchy>,
+    /// Per core, `(tx, block)` for every L2 line a transaction tagged
+    /// there, pushed when the line goes from untagged to tagged. Commit
+    /// and abort visit only their own transaction's entries, skipping any
+    /// whose line was since evicted or retagged; no entry outlives its
+    /// transaction.
+    pub(crate) tagged: Vec<Vec<(TxId, PhysBlock)>>,
     pub(crate) bus: SystemBus,
     pub(crate) mem: PhysicalMemory,
     pub(crate) kernel: Kernel,
@@ -241,6 +258,7 @@ impl Machine {
                 })
                 .collect(),
             caches: (0..n).map(|_| Hierarchy::new(cfg.l1, cfg.l2)).collect(),
+            tagged: vec![Vec::new(); n],
             bus: SystemBus::new(cfg.bus),
             mem: PhysicalMemory::new(cfg.mem_frames),
             kernel: Kernel::new(cfg.kernel),
@@ -305,6 +323,11 @@ impl Machine {
         self.kernel.stats()
     }
 
+    /// Each core's private cache hierarchy, indexed by core.
+    pub fn caches(&self) -> &[Hierarchy] {
+        &self.caches
+    }
+
     /// Bus and memory traffic statistics.
     pub fn bus_stats(&self) -> &ptm_cache::bus::BusStats {
         self.bus.stats()
@@ -324,6 +347,14 @@ impl Machine {
     /// workload property — oldest-wins arbitration guarantees progress).
     pub fn run(&mut self) {
         self.drive(&mut NoHook);
+    }
+
+    /// Takes at most `steps` more scheduler steps and returns whether the
+    /// run drained. Steps are taken in the same canonical order as
+    /// [`Machine::run`], so a run paused and resumed this way is
+    /// bit-identical to an uninterrupted one.
+    pub fn run_steps(&mut self, steps: u64) -> bool {
+        self.drive(&mut StopBefore(steps)).1
     }
 
     /// The one step loop behind [`Machine::run`],
@@ -802,11 +833,8 @@ impl Machine {
             }
         }
 
-        // Migration can leave committed lines on other cores: sweep every
-        // cache for this transaction's tags.
-        for cache in &mut self.caches {
-            commit_tx_lines(cache, tx);
-        }
+        // Migration can leave committed lines on other cores.
+        self.release_tx_lines(tx, commit_tx_line);
 
         if let Some(seq) = self.cores[idx].cur_ordered.take() {
             self.gate.committed(seq);
@@ -1195,6 +1223,9 @@ impl Machine {
                     line.set_state(ptm_cache::Moesi::Modified);
                 }
                 if let Some(tx) = tx {
+                    if !line.is_transactional() {
+                        self.tagged[idx].push((tx, block));
+                    }
                     let meta = line.tx_meta_for(tx);
                     match kind {
                         AccessKind::Read => meta.record_read(word),
@@ -1219,6 +1250,7 @@ impl Machine {
                 // Fill the line, tag it, and spill the victim.
                 let mut line = CacheLine::new(block, outcome.new_state);
                 if let Some(tx) = tx {
+                    self.tagged[idx].push((tx, block));
                     let meta = line.tx_meta_for(tx);
                     match kind {
                         AccessKind::Read => meta.record_read(word),
@@ -1531,11 +1563,8 @@ impl Machine {
         }
         let owner = *self.tx_owner.get(&tx).expect("abort of unknown tx");
         self.ready_dirty.push(owner);
-        // Migration can spread a transaction's lines across cores: sweep
-        // every cache.
-        for cache in &mut self.caches {
-            abort_tx_lines(cache, tx);
-        }
+        // Migration can spread a transaction's lines across cores.
+        self.release_tx_lines(tx, abort_tx_line);
         let _ = self.spec.drain_tx(tx);
         let done = match &mut self.backend {
             Backend::Ptm(p) => {
@@ -1555,6 +1584,30 @@ impl Machine {
         let penalty = self.cfg.abort_penalty * (attempts + 1);
         self.cores[owner].ready_at = self.cores[owner].ready_at.max(done + penalty);
         self.stats.aborts += 1;
+    }
+
+    /// Commits or aborts (per `release`) the lines `tx` tagged on every
+    /// core, and drops its entries from the tagged lists.
+    fn release_tx_lines(
+        &mut self,
+        tx: TxId,
+        release: impl Fn(&mut Hierarchy, TxId, PhysBlock) -> bool,
+    ) {
+        for (cache, tagged) in self.caches.iter_mut().zip(&mut self.tagged) {
+            tagged.retain(|&(t, block)| {
+                if t == tx {
+                    release(cache, tx, block);
+                }
+                t != tx
+            });
+        }
+        // Debug builds check the lists against a walk of every cache.
+        debug_assert!(
+            self.caches
+                .iter()
+                .all(|h| h.lines().all(|l| !l.is_owned_by(tx))),
+            "{tx} still owns a cached line after commit/abort"
+        );
     }
 
     /// Spills an evicted (or coherence-displaced) line into the overflow
