@@ -13,6 +13,18 @@ pub struct Eviction {
     pub line: CacheLine,
 }
 
+/// Where a valid line sits in a [`CacheArray`]: its set and its way.
+///
+/// [`CacheArray::find`] returns one so that a caller which reads a line,
+/// then updates it, scans the set once. A slot names the line only until
+/// the array is next changed (an insert, invalidation or drain may move
+/// lines within a set).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Slot {
+    set: u32,
+    way: u32,
+}
+
 /// A set-associative array of [`CacheLine`]s with true-LRU replacement.
 ///
 /// # Examples
@@ -63,6 +75,38 @@ impl CacheArray {
         (block_number as usize) & (self.cfg.sets - 1)
     }
 
+    /// The slot of `block`'s valid line, if present. Does not update LRU.
+    #[inline]
+    pub(crate) fn find(&self, block: PhysBlock) -> Option<Slot> {
+        let set = self.set_index(block);
+        let way = self.sets[set]
+            .iter()
+            .position(|l| l.block() == block && l.state() != Moesi::Invalid)?;
+        Some(Slot {
+            set: set as u32,
+            way: way as u32,
+        })
+    }
+
+    /// The line at `slot` (see [`Slot`] for how long a slot stays valid).
+    #[inline]
+    pub(crate) fn at(&self, slot: Slot) -> &CacheLine {
+        let line = &self.sets[slot.set as usize][slot.way as usize];
+        debug_assert!(line.state() != Moesi::Invalid, "stale slot {slot:?}");
+        line
+    }
+
+    /// The line at `slot`, mutably, with its LRU position refreshed: what
+    /// [`CacheArray::get_mut`] does once the line has been found.
+    #[inline]
+    pub(crate) fn touch_at(&mut self, slot: Slot) -> &mut CacheLine {
+        self.clock += 1;
+        let line = &mut self.sets[slot.set as usize][slot.way as usize];
+        debug_assert!(line.state() != Moesi::Invalid, "stale slot {slot:?}");
+        line.lru = self.clock;
+        line
+    }
+
     /// Returns `true` if the block is present (any valid state).
     pub fn contains(&self, block: PhysBlock) -> bool {
         self.sets[self.set_index(block)]
@@ -102,19 +146,36 @@ impl CacheArray {
     ///
     /// Re-inserting a block that is already present replaces its line in
     /// place (no eviction).
-    pub fn insert(&mut self, mut line: CacheLine) -> Option<Eviction> {
+    pub fn insert(&mut self, line: CacheLine) -> Option<Eviction> {
+        match self.find(line.block()) {
+            Some(slot) => {
+                self.replace_at(slot, line);
+                None
+            }
+            None => self.insert_absent(line),
+        }
+    }
+
+    /// Replaces the line at `slot` with `line`, as the most recently used:
+    /// [`CacheArray::insert`] of a block that is already present.
+    #[inline]
+    pub(crate) fn replace_at(&mut self, slot: Slot, mut line: CacheLine) {
+        self.clock += 1;
+        line.lru = self.clock;
+        let way = &mut self.sets[slot.set as usize][slot.way as usize];
+        debug_assert_eq!(way.block(), line.block(), "stale slot {slot:?}");
+        *way = line;
+    }
+
+    /// [`CacheArray::insert`] of a block the caller knows is absent: takes
+    /// a free way or evicts the set's least recently used line, without
+    /// scanning for the block first.
+    pub(crate) fn insert_absent(&mut self, mut line: CacheLine) -> Option<Eviction> {
+        debug_assert!(!self.contains(line.block()), "block already present");
         self.clock += 1;
         line.lru = self.clock;
         let idx = self.set_index(line.block());
         let set = &mut self.sets[idx];
-
-        if let Some(existing) = set
-            .iter_mut()
-            .find(|l| l.block() == line.block() && l.state() != Moesi::Invalid)
-        {
-            *existing = line;
-            return None;
-        }
 
         if set.len() < self.cfg.ways {
             if set.capacity() == 0 {

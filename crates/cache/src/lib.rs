@@ -34,6 +34,7 @@ pub mod config;
 pub mod line;
 pub mod stats;
 
+use array::Slot;
 pub use array::{CacheArray, Eviction};
 pub use bus::{BusTimings, SystemBus};
 pub use coherence::{
@@ -43,6 +44,35 @@ pub use coherence::{
 pub use config::CacheConfig;
 pub use line::{CacheLine, Hit, Moesi, ProbeResult, TxLineMeta};
 pub use stats::CacheStats;
+
+/// Where a cached block sits in a [`Hierarchy`]: its L2 slot, plus its L1
+/// slot when it hits there. [`Hierarchy::locate`] returns one. It names the
+/// line only until the hierarchy is next changed: an insert, invalidation
+/// or drain may move lines within a set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Located {
+    block: ptm_types::PhysBlock,
+    l1: Option<Slot>,
+    l2: Slot,
+}
+
+impl Located {
+    /// The block found.
+    #[inline]
+    pub fn block(&self) -> ptm_types::PhysBlock {
+        self.block
+    }
+
+    /// The level the access hits in.
+    #[inline]
+    pub fn hit(&self) -> Hit {
+        if self.l1.is_some() {
+            Hit::L1
+        } else {
+            Hit::L2
+        }
+    }
+}
 
 /// A core's private L1+L2 pair, kept inclusive (everything in L1 is in L2).
 ///
@@ -75,16 +105,55 @@ impl Hierarchy {
         }
     }
 
+    /// Finds `block` in both levels without changing state: one scan of
+    /// its L2 set, plus one of its L1 set when the L2 holds it. The result
+    /// serves the hit path's reads ([`Hierarchy::line_at`]) and its update
+    /// ([`Hierarchy::touch`]) with no further scans.
+    #[inline]
+    pub fn locate(&self, block: ptm_types::PhysBlock) -> Option<Located> {
+        let Some(l2) = self.l2.find(block) else {
+            debug_assert!(!self.l1.contains(block), "L1 must be inclusive in L2");
+            return None;
+        };
+        Some(Located {
+            block,
+            l1: self.l1.find(block),
+            l2,
+        })
+    }
+
     /// Probes both levels without changing state, classifying the access.
     pub fn probe(&self, block: ptm_types::PhysBlock) -> ProbeResult {
-        if self.l1.contains(block) {
-            debug_assert!(self.l2.contains(block), "L1 must be inclusive in L2");
-            ProbeResult::Hit(Hit::L1)
-        } else if self.l2.contains(block) {
-            ProbeResult::Hit(Hit::L2)
-        } else {
-            ProbeResult::Miss
+        match self.locate(block) {
+            Some(at) => ProbeResult::Hit(at.hit()),
+            None => ProbeResult::Miss,
         }
+    }
+
+    /// The L2 line [`Hierarchy::locate`] found.
+    #[inline]
+    pub fn line_at(&self, at: Located) -> &CacheLine {
+        let line = self.l2.at(at.l2);
+        debug_assert_eq!(line.block(), at.block, "stale location");
+        line
+    }
+
+    /// [`Hierarchy::touch_mut`] of a block [`Hierarchy::locate`] found:
+    /// refills or refreshes its L1 copy and refreshes its L2 LRU position,
+    /// advancing both LRU clocks exactly as `touch_mut` does.
+    #[inline]
+    pub fn touch(&mut self, at: Located) -> &mut CacheLine {
+        let presence = CacheLine::presence(at.block);
+        match at.l1 {
+            Some(slot) => self.l1.replace_at(slot, presence),
+            // Refill L1; its victim needs no action (inclusive, data in L2).
+            None => {
+                let _ = self.l1.insert_absent(presence);
+            }
+        }
+        let line = self.l2.touch_at(at.l2);
+        debug_assert_eq!(line.block(), at.block, "stale location");
+        line
     }
 
     /// Latency of a hit at the given level.
@@ -104,13 +173,8 @@ impl Hierarchy {
     /// subsequent probe is an L1 hit (models the refill on an L1 miss /
     /// L2 hit).
     pub fn touch_mut(&mut self, block: ptm_types::PhysBlock) -> Option<&mut CacheLine> {
-        if self.l2.contains(block) {
-            // Refill L1; its victim needs no action (inclusive, data in L2).
-            let _ = self.l1.insert(CacheLine::presence(block));
-            self.l2.get_mut(block)
-        } else {
-            None
-        }
+        let at = self.locate(block)?;
+        Some(self.touch(at))
     }
 
     /// Inserts a freshly fetched line into L2 (and L1), returning the L2
@@ -169,7 +233,7 @@ impl Hierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptm_types::{BlockIdx, FrameId, PhysBlock};
+    use ptm_types::{BlockIdx, FrameId, PhysBlock, TxId, WordIdx};
 
     fn blk(frame: u32, idx: u8) -> PhysBlock {
         PhysBlock::new(FrameId(frame), BlockIdx(idx))
@@ -233,6 +297,111 @@ mod tests {
         let line = h.invalidate(b).unwrap();
         assert_eq!(line.state(), Moesi::Modified);
         assert!(h.probe(b).is_miss());
+    }
+
+    /// One access as the hit path made it before [`Hierarchy::locate`]:
+    /// classify with a `contains` scan per level, read the line, then
+    /// `touch_mut` as `contains` + L1 `insert` + L2 `get_mut`. A miss
+    /// fills. Returns the class, the state read on a hit and the victim.
+    fn scanning_access(
+        h: &mut Hierarchy,
+        b: PhysBlock,
+        write: bool,
+    ) -> (ProbeResult, Option<Moesi>, Option<Eviction>) {
+        let class = if h.l1.contains(b) {
+            ProbeResult::Hit(Hit::L1)
+        } else if h.l2.contains(b) {
+            ProbeResult::Hit(Hit::L2)
+        } else {
+            ProbeResult::Miss
+        };
+        if class.is_miss() {
+            let ev = h.fill(CacheLine::new(b, Moesi::Exclusive));
+            return (class, None, ev);
+        }
+        let state = h.line(b).expect("hit").state();
+        assert!(h.l2.contains(b));
+        let _ = h.l1.insert(CacheLine::presence(b));
+        let line = h.l2.get_mut(b).expect("hit");
+        if write {
+            line.set_state(Moesi::Modified);
+        }
+        (class, Some(state), None)
+    }
+
+    /// The same access through one [`Hierarchy::locate`].
+    fn located_access(
+        h: &mut Hierarchy,
+        b: PhysBlock,
+        write: bool,
+    ) -> (ProbeResult, Option<Moesi>, Option<Eviction>) {
+        let Some(at) = h.locate(b) else {
+            let ev = h.fill(CacheLine::new(b, Moesi::Exclusive));
+            return (ProbeResult::Miss, None, ev);
+        };
+        let state = h.line_at(at).state();
+        let line = h.touch(at);
+        if write {
+            line.set_state(Moesi::Modified);
+        }
+        (ProbeResult::Hit(at.hit()), Some(state), None)
+    }
+
+    #[test]
+    fn one_lookup_hit_path_matches_the_scanning_path() {
+        // Associative L1 (2 sets x 2 ways) under a 4 x 2 L2, over 24
+        // blocks: most accesses hit, and fills keep evicting from both
+        // levels. Occasional invalidations and transaction tags make sets
+        // reorder (swap_remove) and lines differ in more than their block.
+        let cfg = (CacheConfig::tiny(2, 2), CacheConfig::tiny(4, 2));
+        let mut old = Hierarchy::new(cfg.0, cfg.1);
+        let mut new = Hierarchy::new(cfg.0, cfg.1);
+        let mut rng = ptm_types::rng::SplitMix64::new(0x5eed_cafe);
+        let (mut hits, mut victims) = ([0u32; 2], 0u32);
+        for step in 0..20_000 {
+            let r = rng.next_u64();
+            let b = blk((r % 6) as u32, ((r >> 8) % 4) as u8);
+            match (r >> 16) % 16 {
+                0 => assert_eq!(old.invalidate(b), new.invalidate(b), "step {step}"),
+                1 => {
+                    let tx = TxId((r >> 24) % 3 + 1);
+                    for h in [&mut old, &mut new] {
+                        match h.line_mut(b) {
+                            Some(line) if line.is_transactional() => line.clear_tx(),
+                            Some(line) => line.tx_meta_for(tx).record_read(WordIdx(0)),
+                            None => {}
+                        }
+                    }
+                }
+                k => {
+                    let write = k % 2 == 0;
+                    let want = scanning_access(&mut old, b, write);
+                    let got = located_access(&mut new, b, write);
+                    assert_eq!(got, want, "step {step}: {b:?}");
+                    match want {
+                        (ProbeResult::Hit(Hit::L1), ..) => hits[0] += 1,
+                        (ProbeResult::Hit(Hit::L2), ..) => hits[1] += 1,
+                        (_, _, Some(_)) => victims += 1,
+                        _ => {}
+                    }
+                }
+            }
+            // Same contents in the same ways with the same LRU stamps.
+            let l1: Vec<_> = old.l1.lines().copied().collect();
+            assert_eq!(
+                l1,
+                new.l1.lines().copied().collect::<Vec<_>>(),
+                "step {step}"
+            );
+            let l2: Vec<_> = old.lines().copied().collect();
+            assert_eq!(l2, new.lines().copied().collect::<Vec<_>>(), "step {step}");
+            assert_eq!(old.l1.stats(), new.l1.stats());
+            assert_eq!(old.l2_stats(), new.l2_stats());
+        }
+        // The stream exercised every path it is meant to compare.
+        assert!(hits.iter().all(|&n| n > 1_000), "{hits:?}");
+        assert!(victims > 1_000, "{victims}");
+        assert!(old.l1.stats().evictions > 1_000);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::scheduler::ReadyHeap;
 use crate::stats::{CommittedTx, MachineStats};
 use ptm_cache::{
     abort_tx_line, commit_tx_line, flush_non_tx_lines, peek_remote_tx_use, supply, BusTimings,
-    CacheConfig, CacheLine, DataSource, Hierarchy, ProbeResult, SystemBus,
+    CacheConfig, CacheLine, DataSource, Hierarchy, Located, SystemBus,
 };
 use ptm_core::durability::{DurStats, DurabilityConfig, DurableLog, UndoPayload};
 use ptm_core::system::AccessKind;
@@ -54,6 +54,14 @@ pub(crate) fn trace_word() -> Option<u64> {
 pub(crate) fn trace_stall() -> bool {
     static STALL: OnceLock<bool> = OnceLock::new();
     *STALL.get_or_init(|| std::env::var("PTM_TRACE_STALL").is_ok())
+}
+
+/// Debug tracing: set `PTM_TRACE_PROGRESS` to log every core's cursor to
+/// stderr each 20M steps of a run. Read once per process: every run, down
+/// to each service shard machine, would otherwise scan the environment.
+fn trace_progress() -> bool {
+    static PROGRESS: OnceLock<bool> = OnceLock::new();
+    *PROGRESS.get_or_init(|| std::env::var("PTM_TRACE_PROGRESS").is_ok())
 }
 
 /// Machine configuration (defaults follow §6.1).
@@ -135,8 +143,9 @@ struct TlbEntry {
 
 /// What an access attempt resolved to.
 pub(crate) enum AccessEffect {
-    /// Completed; the op's latency in cycles.
-    Done(Cycle),
+    /// Completed: the op's latency in cycles, and the physical address the
+    /// access resolved (the completed op's functional data moves there).
+    Done(Cycle, PhysAddr),
     /// Must retry the same op at the given cycle (cleanup window, swap-in).
     Stall(Cycle),
     /// The requester's own transaction lost arbitration and was aborted;
@@ -369,9 +378,8 @@ impl Machine {
         let mut guard: u64 = 0;
         let mut due: u64 = 0;
         let limit = self.progress_limit();
-        // Read the tracing knob once: `std::env::var` is a syscall and this
-        // is the hottest loop in the simulator.
-        let trace_progress = std::env::var("PTM_TRACE_PROGRESS").is_ok();
+        // Hoisted out of the hottest loop in the simulator.
+        let trace_progress = trace_progress();
         let mut heap = self.build_ready_heap();
         let drained = loop {
             if guard >= due {
@@ -659,7 +667,7 @@ impl Machine {
                         // real coherence transaction, so contended locks
                         // ping-pong between caches.
                         let lat = match self.access(idx, now, lock, AccessKind::Write) {
-                            AccessEffect::Done(lat) => lat,
+                            AccessEffect::Done(lat, _) => lat,
                             AccessEffect::Stall(until) => until.saturating_sub(now),
                             AccessEffect::SelfAborted => unreachable!("no tx in lock mode"),
                         };
@@ -721,7 +729,7 @@ impl Machine {
                 self.cores[idx].prog.advance();
                 // The release is a store to the lock word.
                 let lat = match self.access(idx, now, lock, AccessKind::Write) {
-                    AccessEffect::Done(lat) => lat,
+                    AccessEffect::Done(lat, _) => lat,
                     AccessEffect::Stall(until) => until.saturating_sub(now),
                     AccessEffect::SelfAborted => unreachable!("no tx in lock mode"),
                 };
@@ -885,14 +893,18 @@ impl Machine {
         write: Option<WriteVal>,
     ) {
         match self.access(idx, now, va, kind) {
-            AccessEffect::Done(latency) => {
-                // Functional data movement.
+            AccessEffect::Done(latency, pa) => {
+                // Functional data movement, at the address the access
+                // translated: pages are swapped out only between steps, so
+                // nothing since the translation has remapped this one.
                 let pid = self.cores[idx].prog.pid();
-                let pa = self
-                    .kernel
-                    .frame_of(pid, va.vpn())
-                    .map(|f| PhysAddr::from_frame(f, va.page_offset()))
-                    .expect("page resident after successful access");
+                debug_assert_eq!(
+                    self.kernel
+                        .frame_of(pid, va.vpn())
+                        .map(|f| PhysAddr::from_frame(f, va.page_offset())),
+                    Some(pa),
+                    "reused translation of {va} disagrees with the page table"
+                );
                 let tx = self.tx_context(idx);
                 let old = self.read_word_functional(tx, pid, va, pa);
                 self.cores[idx].checksum = self.cores[idx]
@@ -942,11 +954,12 @@ impl Machine {
     pub(crate) fn hit_needs_overflow_check(
         &self,
         idx: usize,
-        block: PhysBlock,
+        at: Located,
         word: WordIdx,
         kind: AccessKind,
         tx: Option<TxId>,
     ) -> bool {
+        let block = at.block();
         let Some(tx) = tx else {
             // Non-transactional copies are invalidated whenever a writer
             // upgrades, so a non-transactional hit is always current.
@@ -979,7 +992,7 @@ impl Machine {
                 _ => return false,
             }
         }
-        match self.caches[idx].line(block).and_then(|l| l.tx_meta()) {
+        match self.caches[idx].line_at(at).tx_meta() {
             Some(m) if m.tx == tx => match kind {
                 // Words this transaction already touched were checked when
                 // first accessed; a conflicting access since then would have
@@ -1147,21 +1160,22 @@ impl Machine {
                 self.caches[idx].probe(block)
             );
         }
-        // 2. Cache probe.
-        match self.caches[idx].probe(block) {
-            ProbeResult::Hit(hit) => {
-                latency += self.caches[idx].hit_latency(hit);
+        // 2. Cache probe. One lookup serves the whole hit path: the
+        //    foreign-tag check, the state read, the overflow check and the
+        //    L1 refill / LRU refresh all reuse `at`, which stays valid
+        //    until something changes this core's caches.
+        match self.caches[idx].locate(block) {
+            Some(mut at) => {
+                latency += self.caches[idx].hit_latency(at.hit());
                 self.caches[idx].l2_stats_mut().hits += 1;
 
                 // After a thread migration the local cache may hold lines
                 // tagged by a *different* transaction (the thread that used
                 // to run here). Resolve any conflict, displace the line into
                 // the overflow structures, and retry the access.
-                let foreign = self.caches[idx]
-                    .line(block)
-                    .and_then(|l| l.tx_meta())
-                    .filter(|m| Some(m.tx) != tx)
-                    .copied();
+                let line = self.caches[idx].line_at(at);
+                let state = line.state();
+                let foreign = line.tx_meta().filter(|m| Some(m.tx) != tx).copied();
                 if let Some(fm) = foreign {
                     if self.is_live_tx(fm.tx) {
                         let word_mode = self.kind.granularity().word_in_cache();
@@ -1192,33 +1206,31 @@ impl Machine {
                         }
                     }
                     return match self.access(idx, now, va, kind) {
-                        AccessEffect::Done(extra) => AccessEffect::Done(latency + extra),
+                        AccessEffect::Done(extra, pa) => AccessEffect::Done(latency + extra, pa),
                         other => other,
                     };
                 }
 
-                let state = self.caches[idx].line(block).expect("hit").state();
-                if is_write && !state.allows_silent_write() {
-                    // Upgrade: a coherence transaction with full conflict
-                    // checking.
+                // Upgrade: a write without ownership needs a coherence
+                // transaction with full conflict checking. Word-granularity
+                // configurations: a silent hit may also touch a word some
+                // *overflowed* transaction wrote — the block was displaced to
+                // the overflow structures by a word-disjoint access, so the
+                // cached copy grants no rights to this word. Consult the VTS
+                // like an ownership upgrade.
+                if (is_write && !state.allows_silent_write())
+                    || self.hit_needs_overflow_check(idx, at, word, kind, tx)
+                {
                     match self.miss_conflicts_and_supply(idx, now, pid, va, block, word, kind, true)
                     {
                         Ok((extra, _outcome)) => latency += extra,
                         Err(effect) => return effect,
                     }
-                } else if self.hit_needs_overflow_check(idx, block, word, kind, tx) {
-                    // Word-granularity configurations: a silent hit may touch
-                    // a word some *overflowed* transaction wrote — the block
-                    // was displaced to the overflow structures by a word-
-                    // disjoint access, so the cached copy grants no rights to
-                    // this word. Consult the VTS like an ownership upgrade.
-                    match self.miss_conflicts_and_supply(idx, now, pid, va, block, word, kind, true)
-                    {
-                        Ok((extra, _outcome)) => latency += extra,
-                        Err(effect) => return effect,
-                    }
+                    // The coherence transaction may have moved lines within
+                    // this core's sets.
+                    at = self.caches[idx].locate(block).expect("hit");
                 }
-                let line = self.caches[idx].touch_mut(block).expect("hit");
+                let line = self.caches[idx].touch(at);
                 if is_write {
                     line.set_state(ptm_cache::Moesi::Modified);
                 }
@@ -1235,9 +1247,9 @@ impl Machine {
                         }
                     }
                 }
-                AccessEffect::Done(latency)
+                AccessEffect::Done(latency, pa)
             }
-            ProbeResult::Miss => {
+            None => {
                 self.caches[idx].l2_stats_mut().misses += 1;
                 let (extra, outcome) = match self
                     .miss_conflicts_and_supply(idx, now, pid, va, block, word, kind, false)
@@ -1269,7 +1281,7 @@ impl Machine {
                         return AccessEffect::SelfAborted;
                     }
                 }
-                AccessEffect::Done(latency)
+                AccessEffect::Done(latency, pa)
             }
         }
     }
@@ -2129,12 +2141,12 @@ mod tests {
             // Warm core 0's TLB, then hit it once.
             assert!(matches!(
                 m.access(0, 0, va, AccessKind::Read),
-                AccessEffect::Done(_)
+                AccessEffect::Done(..)
             ));
             assert_eq!(m.tlb_peek(0, pid, va.vpn()), Some(frame));
             assert!(matches!(
                 m.access(0, 50, va, AccessKind::Read),
-                AccessEffect::Done(_)
+                AccessEffect::Done(..)
             ));
             assert_eq!(m.stats.tlb_hits, 1);
             assert_eq!(m.stats.tlb_misses, 1);
@@ -2158,7 +2170,7 @@ mod tests {
             // The retry completes against the new mapping with the old data.
             assert!(matches!(
                 m.access(0, 20_000, va, AccessKind::Read),
-                AccessEffect::Done(_)
+                AccessEffect::Done(..)
             ));
             assert_eq!(m.read_committed(pid, va), 77);
             let new_frame = m.kernel.frame_of(pid, va.vpn()).expect("resident again");
@@ -2175,18 +2187,18 @@ mod tests {
         let b = VirtAddr::new(0x10_0000 + stride);
         assert!(matches!(
             m.access(0, 0, a, AccessKind::Read),
-            AccessEffect::Done(_)
+            AccessEffect::Done(..)
         ));
         assert!(matches!(
             m.access(0, 100, b, AccessKind::Read),
-            AccessEffect::Done(_)
+            AccessEffect::Done(..)
         ));
         // `b` displaced `a` from their shared direct-mapped slot.
         assert_eq!(m.tlb_peek(0, pid, a.vpn()), None);
         assert!(m.tlb_peek(0, pid, b.vpn()).is_some());
         assert!(matches!(
             m.access(0, 200, a, AccessKind::Read),
-            AccessEffect::Done(_)
+            AccessEffect::Done(..)
         ));
         assert_eq!(m.stats.tlb_hits, 0);
         assert_eq!(m.stats.tlb_misses, 3);
@@ -2203,11 +2215,11 @@ mod tests {
         let va = VirtAddr::new(0x3000);
         assert!(matches!(
             m.access(0, 0, va, AccessKind::Read),
-            AccessEffect::Done(_)
+            AccessEffect::Done(..)
         ));
         assert!(matches!(
             m.access(0, 100, va, AccessKind::Read),
-            AccessEffect::Done(_)
+            AccessEffect::Done(..)
         ));
         assert_eq!(m.tlb_peek(0, ProcessId(0), va.vpn()), None);
         assert_eq!(m.stats.tlb_hits, 0);

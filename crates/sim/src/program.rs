@@ -2,8 +2,13 @@
 
 use crate::ops::Op;
 use ptm_types::{ProcessId, ThreadId, TxId};
+use std::sync::Arc;
 
 /// A thread's operation stream plus its execution cursor.
+///
+/// The stream is shared and immutable: cloning a program copies its
+/// cursor, not its operations, so every machine built from one workload
+/// reads the same storage (DESIGN.md decision 27).
 ///
 /// On abort the program *rewinds* to the outermost `Begin` — the simulator's
 /// equivalent of restoring the register checkpoint — and re-executes with
@@ -27,7 +32,7 @@ use ptm_types::{ProcessId, ThreadId, TxId};
 pub struct ThreadProgram {
     pid: ProcessId,
     thread: ThreadId,
-    ops: Vec<Op>,
+    ops: Arc<Vec<Op>>,
     pc: usize,
     /// Index of the outermost `Begin` of the transaction in flight.
     tx_begin_pc: Option<usize>,
@@ -45,7 +50,7 @@ impl ThreadProgram {
         ThreadProgram {
             pid,
             thread,
-            ops,
+            ops: Arc::new(ops),
             pc: 0,
             tx_begin_pc: None,
             cur_tx: None,
@@ -72,6 +77,17 @@ impl ThreadProgram {
     /// Whether the program has run to completion.
     pub fn is_finished(&self) -> bool {
         self.pc >= self.ops.len()
+    }
+
+    /// The whole operation stream.
+    pub fn ops(&self) -> &[Op] {
+        &self.ops
+    }
+
+    /// Whether `self` and `other` read the same operation storage (true
+    /// for clones of one program).
+    pub fn shares_ops_with(&self, other: &ThreadProgram) -> bool {
+        Arc::ptr_eq(&self.ops, &other.ops)
     }
 
     /// Total number of operations.
@@ -248,6 +264,61 @@ mod tests {
         // Re-executing the begin is flagged as a retry.
         assert!(p.begin_outer(TxId(9)));
         assert_eq!(p.attempts(), 1, "retry does not reset the attempt count");
+    }
+
+    #[test]
+    fn clone_shares_op_storage() {
+        let p = prog(vec![begin(), Op::Compute(1), Op::End]);
+        let q = p.clone();
+        assert!(q.shares_ops_with(&p));
+        assert_eq!(q.ops().as_ptr(), p.ops().as_ptr(), "no op was copied");
+        let other = prog(vec![begin(), Op::Compute(1), Op::End]);
+        assert!(
+            !other.shares_ops_with(&p),
+            "equal streams, separate storage"
+        );
+    }
+
+    /// `(pc, cur_tx, nest, attempts)`: the cursor state a clone must own.
+    fn cursor(p: &ThreadProgram) -> (usize, Option<TxId>, u32, u32) {
+        (p.pc(), p.cur_tx(), p.nest(), p.attempts())
+    }
+
+    #[test]
+    fn clones_advance_rewind_and_abort_independently() {
+        let mut a = prog(vec![begin(), begin(), Op::Compute(1), Op::End, Op::End]);
+        a.begin_outer(TxId(3));
+        a.advance();
+        a.enter_nested();
+        let mut b = a.clone();
+        let frozen = cursor(&a);
+        assert_eq!(frozen, (1, Some(TxId(3)), 2, 0));
+
+        // Advancing the clone leaves the original where it was.
+        b.advance();
+        b.advance();
+        assert_eq!(cursor(&b), (3, Some(TxId(3)), 2, 0));
+        assert_eq!(cursor(&a), frozen);
+
+        // An abort (rewind) of the clone neither rewinds the original nor
+        // charges it an attempt.
+        b.rewind();
+        assert_eq!(cursor(&b), (0, Some(TxId(3)), 0, 1));
+        assert_eq!(cursor(&a), frozen);
+
+        // Committing the original leaves the aborted clone's retry state.
+        a.advance();
+        a.advance();
+        assert!(!a.leave());
+        a.advance();
+        assert!(a.leave());
+        a.finish_tx();
+        a.advance();
+        assert_eq!(cursor(&a), (5, None, 0, 0));
+        assert!(a.is_finished());
+        assert_eq!(cursor(&b), (0, Some(TxId(3)), 0, 1));
+        assert!(b.begin_outer(TxId(3)), "the clone still retries its tx");
+        assert!(b.shares_ops_with(&a));
     }
 
     #[test]

@@ -35,11 +35,9 @@ pub fn run_with_faults(
 /// versioning overhead) — the denominator of Figure 4's "% Speedup".
 pub fn serialize_programs(programs: &[ThreadProgram]) -> Vec<ThreadProgram> {
     let pid = programs.first().map(|p| p.pid()).unwrap_or(ProcessId(0));
-    let mut ops = Vec::new();
+    let mut ops = Vec::with_capacity(programs.iter().map(ThreadProgram::len).sum());
     for p in programs {
-        for pc in 0..p.len() {
-            ops.push(p.op_at(pc).expect("in range"));
-        }
+        ops.extend_from_slice(p.ops());
     }
     vec![ThreadProgram::new(pid, ThreadId(0), ops)]
 }

@@ -84,7 +84,8 @@ impl Workload {
         }
     }
 
-    /// Clones the thread programs (machines consume them).
+    /// Clones the thread programs (machines consume them). The clones
+    /// share the workload's op storage; only the cursors are new.
     pub fn programs(&self) -> Vec<ThreadProgram> {
         self.programs.clone()
     }
@@ -235,6 +236,44 @@ mod tests {
         let p = b.build();
         assert_eq!(p.len(), 4);
         assert_eq!(p.thread(), ThreadId(1));
+    }
+
+    #[test]
+    fn programs_for_shares_one_op_storage() {
+        let program = |t: usize| {
+            let mut b = ProgramBuilder::new(t);
+            b.begin(VirtAddr::new(0x40), 0)
+                .write(VirtAddr::new(0x1000), 1)
+                .end();
+            b.build()
+        };
+        let w = Workload {
+            name: "shared",
+            programs: (0..THREADS).map(program).collect(),
+            lock_programs: Some((0..THREADS).map(program).collect()),
+            cs_interval: None,
+            exc_interval: None,
+            mem_frames: 64,
+        };
+        let kinds = [
+            ptm_sim::SystemKind::SelectPtm(Default::default()),
+            ptm_sim::SystemKind::Locks,
+        ];
+        for kind in kinds {
+            let (a, b) = (w.programs_for(kind), w.programs_for(kind));
+            assert_eq!(a.len(), THREADS);
+            for (x, y) in a.iter().zip(&b) {
+                assert!(x.shares_ops_with(y), "{kind:?}: two calls, one storage");
+            }
+        }
+        let tx = w.programs_for(ptm_sim::SystemKind::SelectPtm(Default::default()));
+        let locks = w.programs_for(ptm_sim::SystemKind::Locks);
+        assert!(tx[0].shares_ops_with(&w.programs[0]));
+        assert!(locks[0].shares_ops_with(&w.lock_programs.as_ref().unwrap()[0]));
+        assert!(
+            !tx[0].shares_ops_with(&locks[0]),
+            "lock mode runs its own stream"
+        );
     }
 
     #[test]
