@@ -5,111 +5,60 @@
 //! head regressed by more than the allowed fraction.
 //!
 //! ```text
-//! bench_gate <base.json> <head.json> [--max-regression 0.10] [--durable | --service]
+//! bench_gate <base.json> <head.json> [--max-regression 0.10]
 //! ```
 //!
-//! The default mode gates the sequential cycle-loop throughput of
-//! `BENCH_hotpath.json` trajectories. `--durable` gates `BENCH_durable.json` trajectories and refuses
-//! comparisons across differing log-force policies — commit latency is the
-//! very thing the policies trade, so a cross-policy ratio would gate a
-//! configuration change as a regression. `--service` gates
-//! `BENCH_service.json` / `BENCH_service_chaos.json` trajectories,
-//! refusing differing shard counts and mismatched force-policy tags (a
-//! journaled chaos sweep never gates an unjournaled frontend sweep).
-//!
-//! The two runs must be comparable (same scale, cell count and host width);
-//! comparing across hosts is refused rather than silently passed, because a
-//! wall-clock ratio between different machines is noise, not a verdict.
+//! Every trajectory (`BENCH_hotpath.json`, `BENCH_service.json`,
+//! `BENCH_service_chaos.json`, `BENCH_durable.json`) gates the same metric,
+//! simulated cycles per wall second, under one comparability rule: the two
+//! points must agree on scale, cell count, host width, worker (shard) count
+//! and force policy. Anything else is refused with exit 2 rather than
+//! passed, because a ratio between different work or different machines is
+//! noise, not a verdict. A report that cannot be read, or whose last
+//! history entry is missing or malformed, is refused the same way.
 
-use ptm_bench::history::{durable_ratio, entry_from_report, service_ratio, throughput_ratio};
+use ptm_bench::report::{last_point, throughput, throughput_ratio};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut files = Vec::new();
-    let mut max_regression = 0.10f64;
-    let mut durable = false;
-    let mut service = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--max-regression" => {
-                i += 1;
-                max_regression = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--max-regression needs a fraction, e.g. 0.10"));
-            }
-            "--durable" => durable = true,
-            "--service" => service = true,
-            f => files.push(f.to_string()),
-        }
-        i += 1;
-    }
-    if files.len() != 2 {
-        die(
-            "usage: bench_gate <base.json> <head.json> [--max-regression 0.10] \
-             [--durable | --service]",
-        );
-    }
-    if durable && service {
-        die("--durable and --service are mutually exclusive");
-    }
-
-    let read = |path: &str| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")))
+    let (files, fraction) = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        [base, head] => ([base, head], "0.10"),
+        [base, head, "--max-regression", f] => ([base, head], f),
+        _ => die("usage: bench_gate <base.json> <head.json> [--max-regression 0.10]"),
     };
-    let base = entry_from_report(&read(&files[0]))
-        .unwrap_or_else(|| die(&format!("{}: no usable trajectory point", files[0])));
-    let head = entry_from_report(&read(&files[1]))
-        .unwrap_or_else(|| die(&format!("{}: no usable trajectory point", files[1])));
+    let max_regression: f64 = fraction
+        .parse()
+        .unwrap_or_else(|_| die("--max-regression needs a fraction, e.g. 0.10"));
+
+    let base = last_point(files[0]).unwrap_or_else(|e| die(&e));
+    let head = last_point(files[1]).unwrap_or_else(|e| die(&e));
 
     // A `-dirty` point was measured on a tree that no longer exists; the
     // comparison still runs (the wall-clocks are real), but its verdict
     // cannot be reproduced, so say so.
-    for (file, entry) in [(&files[0], &base), (&files[1], &head)] {
-        if entry.git_rev.ends_with("-dirty") {
+    let (base_rev, head_rev) = (base.text("git_rev"), head.text("git_rev"));
+    for (file, rev) in [(files[0], base_rev), (files[1], head_rev)] {
+        let rev = rev.unwrap_or_default();
+        if rev.ends_with("-dirty") {
             eprintln!(
-                "bench_gate: warning - {file} trajectory point {} was measured \
-                 on a dirty working tree and cannot be rebuilt for comparison",
-                entry.git_rev
+                "bench_gate: warning - {file} trajectory point {rev} was measured \
+                 on a dirty working tree and cannot be rebuilt for comparison"
             );
         }
     }
 
-    let (what, ratio, base_t, head_t) = if service {
-        let ratio = service_ratio(&base, &head).unwrap_or_else(|e| die(&e));
-        (
-            "service-sweep",
-            ratio,
-            base.throughput_cycles_per_s(),
-            head.throughput_cycles_per_s(),
-        )
-    } else if durable {
-        let ratio = durable_ratio(&base, &head).unwrap_or_else(|e| die(&e));
-        (
-            "durable-sweep",
-            ratio,
-            base.throughput_cycles_per_s(),
-            head.throughput_cycles_per_s(),
-        )
-    } else {
-        let ratio = throughput_ratio(&base, &head).unwrap_or_else(|e| die(&e));
-        (
-            "cycle-loop",
-            ratio,
-            base.throughput_cycles_per_s(),
-            head.throughput_cycles_per_s(),
-        )
-    };
+    let ratio = throughput_ratio(&base, &head).unwrap_or_else(|e| die(&e));
     let floor = 1.0 - max_regression;
     println!(
-        "bench_gate: {what} base {} @ {base_t} cyc/s, head {} @ {head_t} cyc/s \
-         -> ratio {ratio:.3} (floor {floor:.3})",
-        base.git_rev, head.git_rev,
+        "bench_gate: base {} @ {} cyc/s, head {} @ {} cyc/s -> ratio {ratio:.3} (floor {floor:.3})",
+        base_rev.unwrap_or_default(),
+        throughput(&base),
+        head_rev.unwrap_or_default(),
+        throughput(&head),
     );
     if ratio < floor {
         eprintln!(
-            "bench_gate: FAIL - {what} throughput regressed {:.1}% (> {:.1}% allowed)",
+            "bench_gate: FAIL - throughput regressed {:.1}% (> {:.1}% allowed)",
             (1.0 - ratio) * 100.0,
             max_regression * 100.0
         );

@@ -12,8 +12,8 @@
 //! ```
 
 use ptm_bench::crash::{crash_cells, sweep_cell, CrashCellReport};
-use ptm_bench::scale_from_env;
-use std::fmt::Write as _;
+use ptm_bench::report::{column_totals, Report, Value};
+use ptm_bench::{row, scale_from_env};
 
 fn env_u64(name: &str) -> Option<u64> {
     std::env::var(name).ok().and_then(|s| s.parse().ok())
@@ -78,88 +78,29 @@ fn main() {
         reports.len()
     );
 
-    let json = render_json(scale, seed, stride, extra, &reports);
-    let out = std::env::var("PTM_BENCH_OUT").unwrap_or_else(|_| "BENCH_crash.json".to_string());
-    std::fs::write(&out, json).expect("write benchmark report");
-    eprintln!("crash: wrote {out}");
-}
-
-fn render_json(
-    scale: ptm_workloads::Scale,
-    seed: u64,
-    stride: Option<u64>,
-    extra: u64,
-    reports: &[CrashCellReport],
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&ptm_bench::meta::json_fields());
-    let _ = writeln!(s, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(s, "  \"plan_seed\": {seed},");
-    let _ = writeln!(
-        s,
-        "  \"stride\": {},",
-        stride.map_or("\"auto\"".to_string(), |k| k.to_string())
-    );
-    let _ = writeln!(s, "  \"extra_random_points\": {extra},");
-    let _ = writeln!(s, "  \"cells\": [");
-    for (i, r) in reports.iter().enumerate() {
-        let comma = if i + 1 == reports.len() { "" } else { "," };
-        let _ = writeln!(
-            s,
-            "    {{\"family\": \"{}\", \"workload\": \"{}\", \"system\": \"{}\", \
-             \"total_steps\": {}, \"stride\": {}, \"points\": {}, \"torn_points\": {}, \
-             \"oracle_mismatches\": {}, \"non_idempotent\": {}, \
-             \"transactions_discarded\": {}, \"blocks_restored\": {}, \
-             \"worst_blocks_restored\": {}, \"torn_repaired\": {}, \
-             \"recovery_wall_ns\": {}, \"worst_recovery_wall_ns\": {}, \
-             \"plan_digest\": {}}}{comma}",
-            r.spec.family,
-            r.spec.workload.name(),
-            r.spec.kind.label(),
-            r.total_steps,
-            r.stride,
-            r.points,
-            r.torn_points,
-            r.mismatches,
-            r.non_idempotent,
-            r.transactions_discarded,
-            r.blocks_restored,
-            r.worst_blocks_restored,
-            r.torn_repaired,
-            r.recovery_wall_ns,
-            r.worst_recovery_wall_ns,
-            r.plan_digest,
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"totals\": {{");
-    let _ = writeln!(s, "    \"cells\": {},", reports.len());
-    let points: u64 = reports.iter().map(|r| r.points).sum();
-    let torn: u64 = reports.iter().map(|r| r.torn_points).sum();
-    let discarded: u64 = reports.iter().map(|r| r.transactions_discarded).sum();
-    let restored: u64 = reports.iter().map(|r| r.blocks_restored).sum();
-    let worst_restored = reports
+    let rows: Vec<_> = reports
         .iter()
-        .map(|r| r.worst_blocks_restored)
-        .max()
-        .unwrap_or(0);
-    let worst_rec_ns = reports
-        .iter()
-        .map(|r| r.worst_recovery_wall_ns)
-        .max()
-        .unwrap_or(0);
-    let repaired: u64 = reports.iter().map(|r| r.torn_repaired).sum();
-    let _ = writeln!(s, "    \"points\": {points},");
-    let _ = writeln!(s, "    \"torn_points\": {torn},");
-    let _ = writeln!(s, "    \"transactions_discarded\": {discarded},");
-    let _ = writeln!(s, "    \"blocks_restored\": {restored},");
-    let _ = writeln!(s, "    \"worst_blocks_restored\": {worst_restored},");
-    let _ = writeln!(s, "    \"torn_repaired\": {repaired},");
-    let _ = writeln!(s, "    \"worst_recovery_wall_ns\": {worst_rec_ns},");
-    let _ = writeln!(s, "    \"oracle_mismatches\": 0,");
-    let _ = writeln!(s, "    \"non_idempotent\": 0");
-    let _ = writeln!(s, "  }}");
-    s.push_str("}\n");
-    s
+        .map(|r| {
+            row!(r =>
+                total_steps, stride, points, torn_points, non_idempotent, transactions_discarded,
+                blocks_restored, worst_blocks_restored, torn_repaired, recovery_wall_ns,
+                worst_recovery_wall_ns, plan_digest;
+                "family": r.spec.family, "workload": r.spec.workload.name(),
+                "system": r.spec.kind.label(), "oracle_mismatches": r.mismatches,
+            )
+        })
+        .collect();
+    let mut report = Report::new("crash", scale);
+    report.meta(row! {
+        "plan_seed": seed,
+        "stride": stride.map_or(Value::from("auto"), Value::from),
+        "extra_random_points": extra,
+    });
+    let mut totals = row! { "cells": reports.len() };
+    totals.extend(column_totals(
+        &rows,
+        "points torn_points transactions_discarded blocks_restored worst_blocks_restored \
+         torn_repaired worst_recovery_wall_ns oracle_mismatches non_idempotent",
+    ));
+    report.emit(row! { "cells": rows, "totals": totals });
 }

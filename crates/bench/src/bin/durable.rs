@@ -18,11 +18,10 @@ use ptm_bench::durable::{
     durable_cells, fault_seeds_from_env, force_policies_from_env, sweep_durable_cell,
     DurableCellReport,
 };
-use ptm_bench::history::{prior_entries, render_history_or_die, HistoryEntry};
-use ptm_bench::scale_from_env;
+use ptm_bench::report::{column_totals, fixed, sum, Report, Value};
+use ptm_bench::{row, scale_from_env};
 use ptm_core::durability::ForcePolicy;
 use ptm_types::rng::SplitMix64;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 fn env_u64(name: &str) -> Option<u64> {
@@ -31,6 +30,7 @@ fn env_u64(name: &str) -> Option<u64> {
 
 fn main() {
     let scale = scale_from_env();
+    let mut report = Report::with_history("durable", scale);
     let stride = env_u64("PTM_DURABLE_K");
     let policies = force_policies_from_env();
     // Seed 0 (the fault-free device) always runs; the fault seeds cover
@@ -153,221 +153,70 @@ fn main() {
         [one] => one.label(),
         _ => "mixed".to_string(),
     };
-    let out = std::env::var("PTM_BENCH_OUT").unwrap_or_else(|_| "BENCH_durable.json".to_string());
-    let prior = match std::env::var("PTM_BENCH_HISTORY").as_deref() {
-        Ok("none") => Vec::new(),
-        Ok(path) => prior_entries(&std::fs::read_to_string(path).unwrap_or_default()),
-        Err(_) => {
-            let from_out = std::fs::read_to_string(&out).unwrap_or_default();
-            let text = if prior_entries(&from_out).is_empty() {
-                std::fs::read_to_string("BENCH_durable.json").unwrap_or_default()
-            } else {
-                from_out
-            };
-            prior_entries(&text)
-        }
-    };
-    let entry = HistoryEntry {
-        git_rev: ptm_bench::meta::git_rev(),
-        rustc: ptm_bench::meta::rustc_version().to_string(),
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        scale: format!("{scale:?}"),
-        workers: 1,
-        cells: reports.len(),
-        total_cycles: reports.iter().map(|r| r.probe_cycles).sum(),
-        seq_wall_ns,
-        force_policy: Some(policy_label.clone()),
-    };
-
-    let json = render_json(
-        scale,
-        stride,
-        &policy_label,
-        &seeds,
-        &reports,
-        &render_history_or_die("durable", &prior, &entry),
-    );
-    std::fs::write(&out, json).expect("write benchmark report");
-    eprintln!("durable: wrote {out}");
-}
-
-fn render_json(
-    scale: ptm_workloads::Scale,
-    stride: Option<u64>,
-    policy_label: &str,
-    seeds: &[u64],
-    reports: &[DurableCellReport],
-    history: &str,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&ptm_bench::meta::json_fields());
-    let _ = writeln!(s, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(s, "  \"force_policy\": \"{policy_label}\",");
-    let _ = writeln!(
-        s,
-        "  \"stride\": {},",
-        stride.map_or("\"auto\"".to_string(), |k| k.to_string())
-    );
-    let seed_list: Vec<String> = seeds.iter().map(|x| x.to_string()).collect();
-    let _ = writeln!(s, "  \"fault_seeds\": [{}],", seed_list.join(", "));
-    let _ = writeln!(
-        s,
-        "  \"fault_seed_classes\": [{}],",
-        seeds
-            .iter()
-            .map(|x| if *x == 0 {
-                "\"none\"".to_string()
-            } else {
-                let c = SplitMix64::new(*x).next_u64() % 4;
-                format!(
-                    "\"{}\"",
-                    ["transient", "stall", "reorder", "torn"][c as usize]
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    s.push_str(history);
-    let _ = writeln!(s, "  \"cells\": [");
-    for (i, r) in reports.iter().enumerate() {
-        let comma = if i + 1 == reports.len() { "" } else { "," };
-        let curve: Vec<String> = r
-            .curve
-            .iter()
-            .map(|p| {
-                format!(
-                    "[{}, {}, {}, {}]",
-                    p.step, p.log_bytes, p.records, p.recovery_ns
-                )
-            })
-            .collect();
-        let _ = writeln!(
-            s,
-            "    {{\"family\": \"{}\", \"workload\": \"{}\", \"system\": \"{}\", \
-             \"policy\": \"{}\", \"fault_seed\": {}, \
-             \"total_steps\": {}, \"cycles\": {}, \"stride\": {}, \"points\": {}, \
-             \"torn_points\": {}, \"oracle_mismatches\": {}, \"non_idempotent\": {}, \
-             \"phantom_commits\": {}, \"replay_mismatches\": {}, \"replay_verified\": {}, \
-             \"commits_missing\": {}, \"records_discarded\": {}, \
-             \"checksum_mismatches\": {}, \"bytes_truncated\": {}, \
-             \"commit_records\": {}, \"abort_records\": {}, \"undo_records\": {}, \
-             \"redo_records\": {}, \"torn_appends\": {}, \"lost_appends\": {}, \
-             \"early_appends\": {}, \"run_commits\": {}, \"run_commit_records\": {}, \
-             \"run_ro_fastpath\": {}, \"run_forces\": {}, \
-             \"run_commit_latency_cycles\": {}, \"avg_commit_latency\": {:.2}, \
-             \"run_log_retries\": {}, \"run_backoff_cycles\": {}, \
-             \"run_throttle_events\": {}, \"run_throttle_cycles\": {}, \
-             \"max_append_attempts\": {}, \"run_transient_errors\": {}, \
-             \"run_stall_events\": {}, \"run_reordered_completions\": {}, \
-             \"run_bytes_appended\": {}, \
-             \"curve_step_logbytes_records_recns\": [{}], \
-             \"plan_digest\": {}, \"wall_ns\": {}}}{comma}",
-            r.spec.family,
-            r.spec.workload.name(),
-            r.spec.kind.label(),
-            r.policy,
-            r.fault_seed,
-            r.total_steps,
-            r.probe_cycles,
-            r.stride,
-            r.points,
-            r.torn_points,
-            r.mismatches,
-            r.non_idempotent,
-            r.phantom_commits,
-            r.replay_mismatches,
-            r.replay_verified,
-            r.commits_missing,
-            r.records_discarded,
-            r.checksum_mismatches,
-            r.bytes_truncated,
-            r.commit_records,
-            r.abort_records,
-            r.undo_records,
-            r.redo_records,
-            r.torn_appends,
-            r.lost_appends,
-            r.early_appends,
-            r.run_commits,
-            r.run_commit_records,
-            r.run_ro_fastpath,
-            r.run_forces,
-            r.run_commit_latency_cycles,
-            r.avg_commit_latency(),
-            r.run_log_retries,
-            r.run_backoff_cycles,
-            r.run_throttle_events,
-            r.run_throttle_cycles,
-            r.max_append_attempts,
-            r.run_transient_errors,
-            r.run_stall_events,
-            r.run_reordered_completions,
-            r.run_bytes_appended,
-            curve.join(", "),
-            r.plan_digest,
-            r.wall_ns,
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"totals\": {{");
-    let _ = writeln!(s, "    \"sweeps\": {},", reports.len());
-    let sum = |f: fn(&DurableCellReport) -> u64| reports.iter().map(f).sum::<u64>();
-    let _ = writeln!(s, "    \"points\": {},", sum(|r| r.points));
-    let _ = writeln!(s, "    \"torn_points\": {},", sum(|r| r.torn_points));
-    let _ = writeln!(s, "    \"commit_records\": {},", sum(|r| r.commit_records));
-    let _ = writeln!(
-        s,
-        "    \"records_discarded\": {},",
-        sum(|r| r.records_discarded)
-    );
-    let _ = writeln!(
-        s,
-        "    \"checksum_mismatches\": {},",
-        sum(|r| r.checksum_mismatches)
-    );
-    let _ = writeln!(
-        s,
-        "    \"commits_missing\": {},",
-        sum(|r| r.commits_missing)
-    );
-    let _ = writeln!(
-        s,
-        "    \"replay_verified\": {},",
-        sum(|r| r.replay_verified)
-    );
-    let _ = writeln!(
-        s,
-        "    \"transient_errors\": {},",
-        sum(|r| r.run_transient_errors)
-    );
-    let _ = writeln!(s, "    \"stall_events\": {},", sum(|r| r.run_stall_events));
-    let _ = writeln!(
-        s,
-        "    \"throttle_events\": {},",
-        sum(|r| r.run_throttle_events)
-    );
-    let _ = writeln!(
-        s,
-        "    \"reordered_completions\": {},",
-        sum(|r| r.run_reordered_completions)
-    );
-    let _ = writeln!(
-        s,
-        "    \"torn_or_lost_appends\": {},",
-        sum(|r| r.torn_appends + r.lost_appends)
-    );
-    let worst = reports
+    let rows: Vec<_> = reports
         .iter()
-        .map(|r| r.max_append_attempts)
-        .max()
-        .unwrap_or(0);
-    let _ = writeln!(s, "    \"max_append_attempts\": {worst},");
-    let _ = writeln!(s, "    \"oracle_mismatches\": 0,");
-    let _ = writeln!(s, "    \"non_idempotent\": 0,");
-    let _ = writeln!(s, "    \"phantom_commits\": 0,");
-    let _ = writeln!(s, "    \"replay_mismatches\": 0");
-    let _ = writeln!(s, "  }}");
-    s.push_str("}\n");
-    s
+        .map(|r| {
+            let curve: Vec<Value> = r
+                .curve
+                .iter()
+                .map(|p| vec![p.step, p.log_bytes, p.records, p.recovery_ns].into())
+                .collect();
+            row!(r =>
+                fault_seed, total_steps, stride, points, torn_points, non_idempotent,
+                phantom_commits, replay_mismatches, replay_verified, commits_missing,
+                records_discarded, checksum_mismatches, bytes_truncated, commit_records,
+                abort_records, undo_records, redo_records, torn_appends, lost_appends,
+                early_appends, run_commits, run_commit_records, run_ro_fastpath, run_forces,
+                run_commit_latency_cycles, run_log_retries, run_backoff_cycles,
+                run_throttle_events, run_throttle_cycles, max_append_attempts,
+                run_transient_errors, run_stall_events, run_reordered_completions,
+                run_bytes_appended, plan_digest, wall_ns;
+                "family": r.spec.family, "workload": r.spec.workload.name(),
+                "system": r.spec.kind.label(), "policy": r.policy.label(),
+                "cycles": r.probe_cycles, "oracle_mismatches": r.mismatches,
+                "avg_commit_latency": fixed(r.avg_commit_latency(), 2),
+                "curve_step_logbytes_records_recns": curve,
+            )
+        })
+        .collect();
+    let classes: Vec<&str> = seeds
+        .iter()
+        .map(|&x| match x {
+            0 => "none",
+            _ => ["transient", "stall", "reorder", "torn"]
+                [(SplitMix64::new(x).next_u64() % 4) as usize],
+        })
+        .collect();
+    report.meta(row! {
+        "force_policy": policy_label,
+        "stride": stride.map_or(Value::from("auto"), Value::from),
+        "fault_seeds": seeds.clone(),
+        "fault_seed_classes": classes,
+    });
+    let mut totals = row! { "sweeps": reports.len() };
+    totals.extend(column_totals(
+        &rows,
+        "points torn_points commit_records records_discarded checksum_mismatches \
+         commits_missing replay_verified",
+    ));
+    totals.extend(row! {
+        "transient_errors": sum(&rows, "run_transient_errors"),
+        "stall_events": sum(&rows, "run_stall_events"),
+        "throttle_events": sum(&rows, "run_throttle_events"),
+        "reordered_completions": sum(&rows, "run_reordered_completions"),
+        "torn_or_lost_appends": sum(&rows, "torn_appends") + sum(&rows, "lost_appends"),
+    });
+    totals.extend(column_totals(
+        &rows,
+        "max_append_attempts oracle_mismatches non_idempotent phantom_commits replay_mismatches",
+    ));
+    report.emit(
+        row! { "cells": rows, "totals": totals },
+        row! {
+            "workers": 1usize,
+            "cells": reports.len(),
+            "total_cycles": reports.iter().map(|r| r.probe_cycles).sum::<u64>(),
+            "seq_wall_ns": seq_wall_ns,
+        },
+    );
 }

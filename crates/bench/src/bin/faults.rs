@@ -15,8 +15,9 @@
 
 use ptm_bench::faults::{run_cell_plain, run_cell_under_plan, seeded_plan, FaultCellReport};
 use ptm_bench::parallel::cells_from_env;
+use ptm_bench::report::{column_totals, Report};
+use ptm_bench::row;
 use ptm_sim::FaultPlan;
-use std::fmt::Write as _;
 
 fn main() {
     let (scale, specs) = cells_from_env();
@@ -88,78 +89,37 @@ fn main() {
         faulted.len()
     );
 
-    let json = render_json(scale, seed, &plan, &plain, &faulted, exhausted, swapped);
-    let out = std::env::var("PTM_BENCH_OUT").unwrap_or_else(|_| "BENCH_faults.json".to_string());
-    std::fs::write(&out, json).expect("write benchmark report");
-    eprintln!("faults: wrote {out}");
-}
-
-fn render_json(
-    scale: ptm_workloads::Scale,
-    seed: u64,
-    plan: &FaultPlan,
-    plain: &[FaultCellReport],
-    faulted: &[FaultCellReport],
-    exhausted: usize,
-    swapped: usize,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&ptm_bench::meta::json_fields());
-    let _ = writeln!(s, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(s, "  \"plan_seed\": {seed},");
-    let _ = writeln!(s, "  \"plan_digest\": {},", plan.digest());
-    let _ = writeln!(s, "  \"plan_events\": {},", plan.events.len());
-    let _ = writeln!(s, "  \"empty_plan_bit_identical\": true,");
-    let _ = writeln!(s, "  \"cells\": [");
-    for (i, (p, f)) in plain.iter().zip(faulted).enumerate() {
-        let comma = if i + 1 == plain.len() { "" } else { "," };
-        let _ = writeln!(
-            s,
-            "    {{\"family\": \"{}\", \"workload\": \"{}\", \"system\": \"{}\", \
-             \"plain_cycles\": {}, \"faulted_cycles\": {}, \
-             \"plain_commits\": {}, \"faulted_commits\": {}, \
-             \"plain_aborts\": {}, \"faulted_aborts\": {}, \
-             \"frame_exhaustions\": {}, \"tav_exhaustions\": {}, \
-             \"exhaustion_aborts\": {}, \"exhaustion_retries\": {}, \
-             \"tx_swap_outs\": {}, \"tx_swap_ins\": {}, \
-             \"oracle_mismatches\": {}}}{comma}",
-            f.spec.family,
-            f.spec.workload.name(),
-            f.spec.kind.label(),
-            p.cycles,
-            f.cycles,
-            p.commits,
-            f.commits,
-            p.aborts,
-            f.aborts,
-            f.frame_exhaustions,
-            f.tav_exhaustions,
-            f.exhaustion_aborts,
-            f.exhaustion_retries,
-            f.tx_swap_outs,
-            f.tx_swap_ins,
-            f.mismatches,
-        );
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"totals\": {{");
-    let _ = writeln!(s, "    \"cells\": {},", faulted.len());
-    let _ = writeln!(s, "    \"cells_exhausted\": {exhausted},");
-    let _ = writeln!(s, "    \"cells_swapped_tx_pages\": {swapped},");
-    let fx: u64 = faulted.iter().map(|r| r.frame_exhaustions).sum();
-    let tx: u64 = faulted.iter().map(|r| r.tav_exhaustions).sum();
-    let ea: u64 = faulted.iter().map(|r| r.exhaustion_aborts).sum();
-    let er: u64 = faulted.iter().map(|r| r.exhaustion_retries).sum();
-    let so: u64 = faulted.iter().map(|r| r.tx_swap_outs).sum();
-    let si: u64 = faulted.iter().map(|r| r.tx_swap_ins).sum();
-    let _ = writeln!(s, "    \"frame_exhaustions\": {fx},");
-    let _ = writeln!(s, "    \"tav_exhaustions\": {tx},");
-    let _ = writeln!(s, "    \"exhaustion_aborts\": {ea},");
-    let _ = writeln!(s, "    \"exhaustion_retries\": {er},");
-    let _ = writeln!(s, "    \"tx_swap_outs\": {so},");
-    let _ = writeln!(s, "    \"tx_swap_ins\": {si}");
-    let _ = writeln!(s, "  }}");
-    s.push_str("}\n");
-    s
+    let rows: Vec<_> = plain
+        .iter()
+        .zip(&faulted)
+        .map(|(p, f)| {
+            row!(f =>
+                frame_exhaustions, tav_exhaustions, exhaustion_aborts, exhaustion_retries,
+                tx_swap_outs, tx_swap_ins;
+                "family": f.spec.family, "workload": f.spec.workload.name(),
+                "system": f.spec.kind.label(), "plain_cycles": p.cycles,
+                "faulted_cycles": f.cycles, "plain_commits": p.commits,
+                "faulted_commits": f.commits, "plain_aborts": p.aborts,
+                "faulted_aborts": f.aborts, "oracle_mismatches": f.mismatches,
+            )
+        })
+        .collect();
+    let mut report = Report::new("faults", scale);
+    report.meta(row! {
+        "plan_seed": seed,
+        "plan_digest": plan.digest(),
+        "plan_events": plan.events.len(),
+        "empty_plan_bit_identical": true,
+    });
+    let mut totals = row! {
+        "cells": faulted.len(),
+        "cells_exhausted": exhausted,
+        "cells_swapped_tx_pages": swapped,
+    };
+    totals.extend(column_totals(
+        &rows,
+        "frame_exhaustions tav_exhaustions exhaustion_aborts exhaustion_retries \
+         tx_swap_outs tx_swap_ins",
+    ));
+    report.emit(row! { "cells": rows, "totals": totals });
 }

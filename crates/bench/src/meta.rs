@@ -45,17 +45,6 @@ pub fn host_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// The common provenance keys, rendered as JSON lines for the top of a
-/// report object (two-space indent, trailing comma on every line).
-pub fn json_fields() -> String {
-    format!(
-        "  \"git_rev\": \"{}\",\n  \"rustc\": \"{}\",\n  \"host_cores\": {},\n",
-        git_rev(),
-        rustc_version(),
-        host_cores(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,19 +52,5 @@ mod tests {
     #[test]
     fn rustc_version_is_baked_in() {
         assert!(rustc_version().starts_with("rustc"), "{}", rustc_version());
-    }
-
-    #[test]
-    fn json_fields_are_well_formed() {
-        let f = json_fields();
-        assert!(f.contains("\"git_rev\": \""));
-        assert!(f.contains("\"rustc\": \"rustc"));
-        assert!(f.contains("\"host_cores\": "));
-        // Must parse when wrapped in an object with a terminal key.
-        let obj = format!("{{\n{f}  \"ok\": true\n}}");
-        assert!(
-            obj.matches('"').count() % 2 == 0,
-            "unbalanced quotes: {obj}"
-        );
     }
 }

@@ -232,25 +232,6 @@ pub fn assert_cells_match(seq: &[CellResult], par: &[CellResult]) {
     }
 }
 
-/// Greedy longest-processing-time makespan for `walls` across `workers` —
-/// the wall-clock a multi-core host achieves from these measured per-cell
-/// times (host threads only redistribute cells; they cannot change them).
-pub fn projected_makespan(walls: &[u64], workers: usize) -> u64 {
-    let mut sorted = walls.to_vec();
-    sorted.sort_unstable_by(|a, b| b.cmp(a));
-    let mut loads = vec![0u64; workers.max(1)];
-    for w in sorted {
-        let i = loads
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| **l)
-            .expect("at least one worker")
-            .0;
-        loads[i] += w;
-    }
-    loads.into_iter().max().unwrap_or(0)
-}
-
 /// The worker count: `PTM_WORKERS` if set, else the host's parallelism.
 pub fn workers_from_env() -> usize {
     std::env::var("PTM_WORKERS")
@@ -330,14 +311,5 @@ mod tests {
         for fam in ["table1", "serial", "fig4", "fig5", "ablation"] {
             assert!(cells.iter().any(|c| c.family == fam), "{fam} missing");
         }
-    }
-
-    #[test]
-    fn makespan_projection_is_sane() {
-        // 4 equal cells on 2 workers: two rounds.
-        assert_eq!(projected_makespan(&[10, 10, 10, 10], 2), 20);
-        // A dominant cell bounds the makespan from below.
-        assert_eq!(projected_makespan(&[100, 10, 10, 10], 4), 100);
-        assert_eq!(projected_makespan(&[], 4), 0);
     }
 }

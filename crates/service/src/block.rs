@@ -2,7 +2,7 @@
 //! becomes per-shard thread programs, runs on fresh simulator machines,
 //! and folds back into the service's balance table.
 
-use crate::config::{ServiceConfig, ShardChaosConfig, Strategy};
+use crate::config::{ServiceConfig, ShardChaosConfig};
 use crate::shard::ShardMap;
 use ptm_sim::{run, run_with_faults, FaultPlan, Machine, Op, ThreadProgram};
 use ptm_types::{Cycle, FastMap, ProcessId, ThreadId, VirtAddr, BLOCK_SIZE, PAGE_SIZE, WORD_SIZE};
@@ -43,12 +43,6 @@ pub enum ReceiptStatus {
     ReadOnly {
         /// The balance observed as of the previous block boundary.
         balance: u32,
-    },
-    /// Admission-checked only (the `ValidateOnly` strategy): `ok` is the
-    /// well-formedness verdict, nothing executed.
-    Validated {
-        /// Whether the transaction passed admission checks.
-        ok: bool,
     },
 }
 
@@ -459,46 +453,28 @@ pub fn run_block(
         }
     }
 
-    let mut deltas: Vec<(u64, u32)> = Vec::new();
-    match cfg.strategy {
-        Strategy::ValidateOnly => {
-            for tx in block.iter().filter(|t| !t.read_only) {
-                let ok = tx.from < cfg.accounts
-                    && tx.to < cfg.accounts
-                    && tx.from != tx.to
-                    && tx.amount > 0;
-                receipts.push(Receipt {
-                    tx_id: tx.id,
-                    shard: map.owner(tx),
-                    status: ReceiptStatus::Validated { ok },
-                });
-            }
+    let plans = compile(cfg, &map, block);
+    let mut fold: FastMap<u64, u32> = FastMap::default();
+    for (shard, plan) in plans.iter().enumerate() {
+        if plan.transfers.is_empty() {
+            continue;
         }
-        Strategy::Sequential => {
-            let plans = compile(cfg, &map, block);
-            let mut fold: FastMap<u64, u32> = FastMap::default();
-            for (shard, plan) in plans.iter().enumerate() {
-                if plan.transfers.is_empty() {
-                    continue;
-                }
-                let run = run_shard(cfg, shard, plan);
-                receipts.extend(run.receipts);
-                stats.commits += run.commits;
-                stats.aborts += run.aborts;
-                stats.max_shard_cycles = stats.max_shard_cycles.max(run.cycles);
-                stats.shard_retries += run.retries;
-                stats.shard_stalls += run.stalls;
-                stats.shard_escalations += run.escalated as u64;
-                stats.shard_backoff_cycles += run.backoff_cycles;
-                for (acct, d) in run.deltas {
-                    let e = fold.entry(acct).or_insert(0);
-                    *e = e.wrapping_add(d);
-                }
-            }
-            deltas = fold.into_iter().collect();
-            deltas.sort_unstable();
+        let run = run_shard(cfg, shard, plan);
+        receipts.extend(run.receipts);
+        stats.commits += run.commits;
+        stats.aborts += run.aborts;
+        stats.max_shard_cycles = stats.max_shard_cycles.max(run.cycles);
+        stats.shard_retries += run.retries;
+        stats.shard_stalls += run.stalls;
+        stats.shard_escalations += run.escalated as u64;
+        stats.shard_backoff_cycles += run.backoff_cycles;
+        for (acct, d) in run.deltas {
+            let e = fold.entry(acct).or_insert(0);
+            *e = e.wrapping_add(d);
         }
     }
+    let mut deltas: Vec<(u64, u32)> = fold.into_iter().collect();
+    deltas.sort_unstable();
 
     stats.shard_skew = shard_skew(&stats.shard_txs, stats.transfers, cfg.shards);
 

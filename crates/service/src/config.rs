@@ -5,26 +5,6 @@ use ptm_mem::logdev::{LogDevConfig, LogFaultPlan};
 use ptm_sim::{MachineConfig, SystemKind};
 use std::time::Duration;
 
-/// How a block's shard machines are executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// `Machine::run`: the deterministic sequential core loop.
-    Sequential,
-    /// Admission checks only; nothing executes and no state changes.
-    /// Useful to measure frontend overhead and as a dry-run mode.
-    ValidateOnly,
-}
-
-impl Strategy {
-    /// Stable label for stats and bench output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Strategy::Sequential => "sequential",
-            Strategy::ValidateOnly => "validate-only",
-        }
-    }
-}
-
 /// Ingest-journal configuration: the force policy plus the log device the
 /// journal writes through. `None` on [`ServiceConfig::journal`] keeps the
 /// pre-journal volatile frontend (acks mean nothing across a crash).
@@ -101,8 +81,7 @@ impl ShardChaosConfig {
     }
 }
 
-/// Frontend configuration: account space, sharding, execution strategy
-/// and admission knobs.
+/// Frontend configuration: account space, sharding and admission knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Size of the account space (ids `0..accounts`).
@@ -113,8 +92,6 @@ pub struct ServiceConfig {
     pub threads_per_shard: usize,
     /// Backend each shard machine runs (default: the paper's PTM-Select).
     pub kind: SystemKind,
-    /// Execution strategy for shard machines.
-    pub strategy: Strategy,
     /// Shard machine template; `mem_frames` is resized per block.
     pub machine: MachineConfig,
     /// Admission: a block is sealed as soon as it holds this many
@@ -141,7 +118,6 @@ impl ServiceConfig {
             shards,
             threads_per_shard: 4,
             kind: SystemKind::SelectPtm(Default::default()),
-            strategy: Strategy::Sequential,
             machine: MachineConfig::default(),
             max_batch: 256,
             batch_deadline: Duration::from_millis(5),
@@ -149,12 +125,6 @@ impl ServiceConfig {
             journal: None,
             chaos: None,
         }
-    }
-
-    /// Same config with a different strategy.
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Same config with a durable ingest journal.

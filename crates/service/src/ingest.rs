@@ -1,6 +1,6 @@
 //! The ingest loop: a worker thread that accepts a stream of client
 //! transactions, journals and seals them into blocks under the admission
-//! knobs, and executes each block through the configured strategy.
+//! knobs, and executes each block on its shard machines.
 //!
 //! Admission seals a block when either trigger fires:
 //! - **size**: the batch reaches [`ServiceConfig::max_batch`], or

@@ -61,10 +61,10 @@
 //! # Examples
 //!
 //! ```
-//! use ptm_service::{Service, ServiceConfig, Strategy};
+//! use ptm_service::{Service, ServiceConfig};
 //! use ptm_workloads::{service::generate, ServiceWorkloadConfig};
 //!
-//! let cfg = ServiceConfig::new(100_000, 2).with_strategy(Strategy::Sequential);
+//! let cfg = ServiceConfig::new(100_000, 2);
 //! let stream = generate(&ServiceWorkloadConfig {
 //!     accounts: cfg.accounts,
 //!     skew: 0.9,
@@ -88,7 +88,7 @@ pub mod pipeline;
 pub mod shard;
 
 pub use block::{fold_deltas, run_block, BlockOutcome, BlockStats, Receipt, ReceiptStatus};
-pub use config::{JournalConfig, ServiceConfig, ShardChaosConfig, Strategy};
+pub use config::{JournalConfig, ServiceConfig, ShardChaosConfig};
 pub use ingest::{Service, ServiceError, ServiceReport, SubmitError};
 pub use journal::{replay, Journal, JournalReplay, JournalStats, RecoveredBlock};
 pub use pipeline::{
@@ -129,7 +129,6 @@ mod tests {
             match r.status {
                 ReceiptStatus::ReadOnly { .. } => assert!(tx.read_only),
                 ReceiptStatus::Committed { .. } => assert!(!tx.read_only),
-                ReceiptStatus::Validated { .. } => panic!("not a validate-only run"),
             }
         }
     }
@@ -165,22 +164,6 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn validate_only_touches_nothing() {
-        let block = stream(5_000, 100, 5);
-        let cfg = ServiceConfig::new(5_000, 2).with_strategy(Strategy::ValidateOnly);
-        let out = run_block(&cfg, &block, &FastMap::default());
-        assert!(out.deltas.is_empty());
-        assert_eq!(out.stats.commits, 0);
-        assert_eq!(out.receipts.len(), block.len());
-        for r in &out.receipts {
-            assert!(matches!(
-                r.status,
-                ReceiptStatus::Validated { ok: true } | ReceiptStatus::ReadOnly { .. }
-            ));
-        }
     }
 
     #[test]

@@ -44,10 +44,6 @@ fn digest(cfg: ServiceConfig) -> (u64, ServiceReport) {
                     h.write_u64(1);
                     h.write_u64(u64::from(balance));
                 }
-                ReceiptStatus::Validated { ok } => {
-                    h.write_u64(2);
-                    h.write_u64(u64::from(ok));
-                }
             }
         }
         for &(account, delta) in &o.deltas {
